@@ -35,6 +35,7 @@ inputs (around a thousand nested applications) are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import SignatureError, SortError, TheoryError
@@ -82,25 +83,29 @@ class Type1Entry:
 
 @dataclass(frozen=True)
 class Type2Entry:
+    """An AC constructor's theory; the derived attributes are computed on
+    first access and then read as plain instance attributes, since insert
+    consults them on every step."""
+
     theory: Type2Theory
 
-    @property
+    @cached_property
     def orientation(self) -> str:
         return self.theory.orientation
 
-    @property
+    @cached_property
     def unit(self) -> Optional[Term]:
         return App(self.theory.unit) if self.theory.unit is not None else None
 
-    @property
+    @cached_property
     def absorber(self) -> Optional[Term]:
         return App(self.theory.absorber) if self.theory.absorber is not None else None
 
-    @property
+    @cached_property
     def idem(self) -> bool:
         return self.theory.variant in IDEM_VARIANTS
 
-    @property
+    @cached_property
     def nil(self) -> bool:
         return self.theory.variant in NIL_VARIANTS
 

@@ -1,5 +1,11 @@
 """Maximal sharing: interning terms so equal subterms are one node.
 
+A table is one dict from Term to NodeId plus the list of canonical Terms
+indexed by id.  An App caches its structural hash and a stored App's
+children are the canonical objects, so looking up a node whose children are
+already interned costs O(arity): the hash is built from the children's
+cached hashes, and equality stops at the children by identity.
+
 Ids are table-scoped and carry no meaning across tables or runs; comparisons
 elsewhere stay structural.  Within one table, id equality coincides with
 structural equality, and the canonical Term object for an id is shared, so
@@ -19,47 +25,35 @@ NodeId = int
 class HashConsTable:
     def __init__(self, sig: Signature):
         self.sig = sig
-        self._by_key: dict = {}
+        self._ids: dict[Term, NodeId] = {}
         self._terms: list[Term] = []
-        self._children: list[tuple[NodeId, ...]] = []
-        self._id_of: dict[Term, NodeId] = {}
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _add(self, key, term: Term, children: tuple[NodeId, ...]) -> NodeId:
-        node = len(self._terms)
-        self._by_key[key] = node
-        self._terms.append(term)
-        self._children.append(children)
-        self._id_of[term] = node
+    def _add(self, term: Term) -> NodeId:
+        node = self._ids.setdefault(term, len(self._terms))
+        if node == len(self._terms):
+            self._terms.append(term)
         return node
+
+    def _check_arity(self, ctor: str, n: int) -> None:
+        decl = self.sig.declaration(ctor)
+        if n != decl.arity:
+            raise SignatureError(f"{ctor!r} expects {decl.arity} children, got {n}")
 
     def intern(self, ctor: str, children: Sequence[NodeId]) -> NodeId:
         """Node for ctor applied to already-interned children."""
-        decl = self.sig.declaration(ctor)
         children = tuple(children)
-        if len(children) != decl.arity:
-            raise SignatureError(
-                f"{ctor!r} expects {decl.arity} children, got {len(children)}"
-            )
-        key = (ctor, children)
-        hit = self._by_key.get(key)
-        if hit is not None:
-            return hit
-        args = tuple(self.to_term(c) for c in children)
-        return self._add(key, App(ctor, args), children)
+        self._check_arity(ctor, len(children))
+        return self._add(App(ctor, tuple(self.to_term(c) for c in children)))
 
     def intern_prim(self, ptype: str, value: Union[int, str]) -> NodeId:
         if ptype not in self.sig.primitives:
             raise SignatureError(f"unknown primitive type {ptype!r}")
         if not isinstance(value, self.sig.primitives[ptype]) or isinstance(value, bool):
             raise SortError(f"bad {ptype} constant {value!r}")
-        key = ("$prim", ptype, value)
-        hit = self._by_key.get(key)
-        if hit is not None:
-            return hit
-        return self._add(key, Prim(ptype, value), ())
+        return self._add(Prim(ptype, value))
 
     def to_term(self, node: NodeId) -> Term:
         if not isinstance(node, int) or not 0 <= node < len(self._terms):
@@ -67,14 +61,18 @@ class HashConsTable:
         return self._terms[node]
 
     def from_term(self, t: Term) -> NodeId:
-        hit = self._id_of.get(t)
+        hit = self._ids.get(t)
         if hit is not None:
             return hit
         if isinstance(t, Var):
             raise SortError("cannot intern terms containing variables")
         if isinstance(t, Prim):
             return self.intern_prim(t.ptype, t.value)
-        return self.intern(t.ctor, tuple(self.from_term(a) for a in t.args))
+        args = tuple(self._terms[self.from_term(a)] for a in t.args)
+        self._check_arity(t.ctor, len(args))
+        if any(a is not b for a, b in zip(args, t.args)):
+            t = App(t.ctor, args)  # keep the caller's object when it is canonical
+        return self._add(t)
 
     def canonical(self, t: Term) -> Term:
         """The one shared Term object structurally equal to t."""
@@ -82,4 +80,4 @@ class HashConsTable:
 
     def sharing_stats(self) -> tuple[int, int]:
         """(node count, edge count) for everything interned so far."""
-        return len(self._terms), sum(len(c) for c in self._children)
+        return len(self._terms), sum(len(t.args) for t in self._terms if isinstance(t, App))

@@ -46,6 +46,7 @@ from .theory import (
     TheorySpec,
     Type2Theory,
     Variant,
+    _pattern_vars,
     builtin_presentation,
     equations_of,
 )
@@ -178,17 +179,6 @@ class ClosureBudget:
             raise OracleError("max_steps must be at least 1")
         if self.max_term_size is not None and self.max_term_size < 1:
             raise OracleError("max_term_size must be at least 1")
-
-
-def _pattern_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, App):
-        out: frozenset[str] = frozenset()
-        for a in t.args:
-            out |= _pattern_vars(a)
-        return out
-    return frozenset()
 
 
 def _directed(eqs: Sequence[tuple[Term, Term]]) -> list[tuple[Term, Term]]:
@@ -336,12 +326,6 @@ def closure_classes(
 # redex search modulo AC
 
 
-def _flatten_pattern(C: str, p: Term) -> list[Term]:
-    if isinstance(p, App) and p.ctor == C:
-        return _flatten_pattern(C, p.args[0]) + _flatten_pattern(C, p.args[1])
-    return [p]
-
-
 def _flatten_term(C: str, t: Term) -> list[Term]:
     if isinstance(t, App) and t.ctor == C:
         return _flatten_term(C, t.args[0]) + _flatten_term(C, t.args[1])
@@ -394,7 +378,7 @@ def _ac_match(
         if not (isinstance(t, App) and t.ctor == p.ctor):
             return
         C = p.ctor
-        pleaves = _flatten_pattern(C, p)
+        pleaves = _flatten_term(C, p)
         tleaves = Counter(_flatten_term(C, t))
         yield from _ac_match_leaves(sig, orientation, C, pleaves, tleaves, binding)
         return

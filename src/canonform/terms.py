@@ -43,10 +43,29 @@ class Prim:
 
 @dataclass(frozen=True)
 class App:
-    """Constructor application; nullary constructors have an empty args tuple."""
+    """Constructor application; nullary constructors have an empty args tuple.
+
+    The structural hash is computed on first use and cached on the instance.
+    The arguments' hashes are cached too, so hashing a node costs O(arity)
+    however large the term; that keeps dict and set lookups (hash-consing,
+    the oracles' term sets) from rewalking whole subterms.
+    """
 
     ctor: str
     args: tuple["Term", ...] = ()
+
+    _hash = None  # class default, deliberately not a dataclass field
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.ctor, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # string hashes vary between interpreters: never carry the cache along
+        return App, (self.ctor, self.args)
 
     def __str__(self) -> str:
         return format_term(self)

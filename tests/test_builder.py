@@ -153,6 +153,19 @@ def test_insert_nil_cancels_to_absorber():
     )
 
 
+def test_type2_entry_attributes_are_computed_once():
+    cases = {
+        "exp": ("Plus", ZERO, None, False, False),
+        "aci": ("Or", None, None, True, False),
+        "acnil": ("Xor", None, App("Bot"), False, True),
+    }
+    for name, (ctor, unit, absorber, idem, nil) in cases.items():
+        entry = load(name)[2].entries[ctor]
+        assert (entry.unit, entry.absorber) == (unit, absorber)
+        assert (entry.idem, entry.nil, entry.orientation) == (idem, nil, "right")
+        assert entry.unit is entry.unit and entry.absorber is entry.absorber
+
+
 def test_delete_examples(exp):
     _, fam = exp
     t = plus(ONE, opp(ONE))

@@ -6,10 +6,15 @@ stdout/stderr splitting can be asserted exactly.
 
 from __future__ import annotations
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import canonform
 from canonform import cli
 
 from conftest import FIXTURES
@@ -180,3 +185,29 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
 def test_norm_requires_an_expression(capsys):
     with pytest.raises(SystemExit):
         cli.main(["norm", str(FIXTURES / "exp.rdt")])
+
+
+# --- running as a module -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["canonform", "canonform.cli"])
+@pytest.mark.parametrize(
+    "fixture, expected_code, expected_text",
+    [("exp.rdt", 0, "Plus: abelian-group"), ("bad_com_only.rdt", 1, "error[theory]:")],
+)
+def test_python_dash_m_runs_the_cli(capsys, module, fixture, expected_code, expected_text):
+    """`python -m` prints and exits exactly as the in-process `cli.main` does."""
+    src = pathlib.Path(canonform.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "check", str(FIXTURES / fixture)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    code, out, err = run(capsys, "check", FIXTURES / fixture)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == expected_code
+    assert expected_text in out + err

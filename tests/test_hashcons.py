@@ -7,6 +7,7 @@ of distinct subterms, computed here by brute-force set construction.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -162,3 +163,93 @@ def test_normalize_with_sharing_matches_plain_normalize():
     table = HashConsTable(sig)
     for t in terms("exp", 6):
         assert normalize(t, fam, table) == normalize(t, fam)
+
+
+# --- interning by the terms' own cached hash --------------------------------
+
+
+def test_from_term_keeps_the_callers_object_when_children_are_canonical():
+    sig, _, _ = load("exp")
+    table = HashConsTable(sig)
+    one = table.canonical(App("One"))
+    t = plus(one, opp(one))
+    assert table.canonical(t.args[1]) is t.args[1]  # intern the child first
+    assert table.canonical(t) is t
+    # a child that is equal but not the canonical object forces a rebuild
+    u = plus(opp(App("One")), one)
+    v = table.canonical(u)
+    assert v == u and v is not u
+    assert v.args[0] is t.args[1] and v.args[1] is one
+    assert table.canonical(plus(opp(App("One")), App("One"))) is v
+
+
+def test_edges_equal_the_arities_of_distinct_subterms():
+    text = "type cell = Nil | Cons(int, cell) | Tag(string, cell) | Pair(cell, cell)"
+    sig, _ = parse_definition(text)
+    nil = App("Nil")
+
+    def cons(n, c):
+        return App("Cons", (Prim("int", n), c))
+
+    def tag(s, c):
+        return App("Tag", (Prim("string", s), c))
+
+    samples = [
+        nil,
+        cons(1, cons(2, nil)),
+        tag("a", cons(1, nil)),
+        App("Pair", (cons(1, nil), tag("a", cons(1, nil)))),
+        App("Pair", (tag("b", nil), tag("b", nil))),
+    ]
+    cases = [(sig, samples), (load("exp")[0], list(terms("exp", 6)))]
+    for sig, universe in cases:
+        table = HashConsTable(sig)
+        for t in universe:
+            table.from_term(t)
+        seen = distinct_subterms(universe)
+        arities = sum(len(s.args) for s in seen if isinstance(s, App))
+        assert table.sharing_stats() == (len(seen), arities)
+
+
+def test_sharing_hashes_each_node_a_bounded_number_of_times(monkeypatch):
+    """A lookup must hash O(arity) nodes, not the whole term under it.
+
+    With a recursively recomputed hash this ratio grows with the sum's size;
+    on the 200-leaf sum below it is then in the hundreds.
+    """
+    sig, spec = parse_definition(
+        "type n = L | S(n) | P(n, n)\nwith P: associative, commutative\n"
+    )
+    fam = compile_family(sig, spec)
+    rng = random.Random(7)
+
+    def leaf():
+        t = App("L")
+        for _ in range(rng.randrange(20)):
+            t = App("S", (t,))
+        return t
+
+    def balanced(n):
+        if n == 1:
+            return leaf()
+        return App("P", (balanced(n // 2), balanced(n - n // 2)))
+
+    term = balanced(200)
+    counts = {"hash": 0, "from_term": 0}
+    app_hash, from_term = App.__hash__, HashConsTable.from_term
+
+    def counting_hash(self):
+        counts["hash"] += 1
+        return app_hash(self)
+
+    def counting_from_term(self, t):
+        counts["from_term"] += 1
+        return from_term(self, t)
+
+    monkeypatch.setattr(App, "__hash__", counting_hash)
+    monkeypatch.setattr(HashConsTable, "from_term", counting_from_term)
+    shared = normalize(term, fam, HashConsTable(sig))
+    monkeypatch.undo()
+    assert shared == normalize(term, fam)
+    assert counts["from_term"] > 0
+    assert counts["hash"] <= 8 * counts["from_term"], counts

@@ -8,7 +8,10 @@ from that recurrence by hand-checkable dynamic programming.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -266,3 +269,41 @@ def test_parse_string_escapes():
     s = Signature("s", [("Tag", ["string"])])
     t = App("Tag", (Prim("string", 'he said "hi"\\'),))
     assert parse_ground_term(format_term(t), s) == t
+
+
+# --- dataclass contract and the cached hash --------------------------------
+
+
+def test_app_keeps_its_dataclass_contract():
+    assert [f.name for f in dataclasses.fields(App)] == ["ctor", "args"]
+    assert App.__match_args__ == ("ctor", "args")
+    t = plus(ZERO, opp(ONE))
+    hash(t)  # filling the cache must not show in repr or equality
+    assert repr(t) == (
+        "App(ctor='Plus', args=(App(ctor='Zero', args=()), "
+        "App(ctor='Opp', args=(App(ctor='One', args=()),))))"
+    )
+    assert t == plus(App("Zero"), opp(App("One")))
+    match t:
+        case App("Plus", (left, right)):
+            assert (left, right) == (ZERO, opp(ONE))
+        case _:
+            pytest.fail("App no longer matches by position")
+
+
+def test_equal_terms_built_separately_hash_equal():
+    for t in terms("exp", 6):
+        twin = parse_ground_term(format_term(t), load("exp")[0])
+        assert twin is not t
+        assert twin == t and hash(twin) == hash(t)
+
+
+def test_app_hash_is_cached_and_not_pickled():
+    t = plus(opp(ONE), ZERO)
+    h = hash(t)
+    assert hash(t) == h and t._hash == h
+    assert t.args[0]._hash is not None  # children were hashed on the way
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        # a cached string hash would be wrong in another interpreter
+        assert "_hash" not in vars(copied)
+        assert copied == t and hash(copied) == h
