@@ -2,7 +2,9 @@
 
 A right comb for C is C(t1, C(t2, ... C(tn-1, tn))) with no ti headed by C;
 a left comb nests the other way.  The orientation mapping names the AC
-constructors and gives each its comb direction.  AC-normal means every
+constructors and gives each its comb direction.  Both directions share one
+code path: a comb is an exposed leaf plus the rest, and the orientation
+only picks which argument holds which (see comb_sign).  AC-normal means every
 AC spine is a comb of its orientation whose leaves are in non-decreasing
 structural order, recursively.
 """
@@ -18,23 +20,24 @@ from .terms import App, Signature, Term, compare
 Orientation = Mapping[str, str]  # AC constructor name -> "left" | "right"
 
 
-def _rotate_right(C: str, t: App) -> Term:
-    # exhaustively applies C(C(x,y),z) -> C(x,C(y,z)) at the spine
-    a, b = t.args
-    while isinstance(a, App) and a.ctor == C:
-        x, y = a.args
-        b = _rotate_right(C, App(C, (y, b)))
-        a = x
-    return App(C, (a, b))
+def comb_sign(orientation: str) -> int:
+    """The comb view of an orientation: +1 for right combs C(leaf, rest), -1
+    for left combs C(rest, leaf).  As a slice step on C's arguments it reads
+    them as (exposed leaf, rest) and puts such a pair back in spine order."""
+    if orientation not in ("right", "left"):
+        raise ShapeError(f"bad orientation {orientation!r}")
+    return 1 if orientation == "right" else -1
 
 
-def _rotate_left(C: str, t: App) -> Term:
-    a, b = t.args
-    while isinstance(b, App) and b.ctor == C:
-        x, y = b.args
-        a = _rotate_left(C, App(C, (a, x)))
-        b = y
-    return App(C, (a, b))
+def _rotate(C: str, t: App, s: int) -> Term:
+    # exhaustively moves C-headed arguments off the exposed side of the
+    # spine: C(C(x,y),z) -> C(x,C(y,z)) for right combs, mirrored for left
+    e, r = t.args[::s]
+    while isinstance(e, App) and e.ctor == C:
+        x, y = e.args[::s]
+        r = _rotate(C, App(C, (y, r)[::s]), s)
+        e = x
+    return App(C, (e, r)[::s])
 
 
 def comb(t: Term, orientation: Orientation) -> Term:
@@ -45,45 +48,31 @@ def comb(t: Term, orientation: Orientation) -> Term:
     o = orientation.get(t.ctor)
     if o is None:
         return t2
-    return _rotate_right(t.ctor, t2) if o == "right" else _rotate_left(t.ctor, t2)
+    return _rotate(t.ctor, t2, comb_sign(o))
 
 
 def leaves(C: str, t: Term, orientation: str = "right") -> list[Term]:
     """Leaf list of a C-comb, spine order; errors if t is not such a comb."""
-    if orientation == "right":
-        out: list[Term] = []
-        while isinstance(t, App) and t.ctor == C:
-            head, t = t.args
-            if isinstance(head, App) and head.ctor == C:
-                raise ShapeError(f"not a right {C} comb")
-            out.append(head)
-        out.append(t)
-        return out
-    if orientation == "left":
-        tail: list[Term] = []
-        while isinstance(t, App) and t.ctor == C:
-            t, last = t.args
-            if isinstance(last, App) and last.ctor == C:
-                raise ShapeError(f"not a left {C} comb")
-            tail.append(last)
-        tail.append(t)
-        tail.reverse()
-        return tail
-    raise ShapeError(f"bad orientation {orientation!r}")
+    s = comb_sign(orientation)
+    out: list[Term] = []
+    while isinstance(t, App) and t.ctor == C:
+        head, t = t.args[::s]
+        if isinstance(head, App) and head.ctor == C:
+            raise ShapeError(f"not a {orientation} {C} comb")
+        out.append(head)
+    out.append(t)
+    return out[::s]
 
 
 def build_comb(C: str, parts: list[Term], orientation: str = "right") -> Term:
     """Inverse of leaves: fold a non-empty leaf list back into a comb."""
     if not parts:
         raise ShapeError("empty leaf list")
-    if orientation == "right":
-        out = parts[-1]
-        for leaf in reversed(parts[:-1]):
-            out = App(C, (leaf, out))
-        return out
-    out = parts[0]
-    for leaf in parts[1:]:
-        out = App(C, (out, leaf))
+    s = comb_sign(orientation)
+    ordered = parts[::-s]  # innermost leaf first
+    out = ordered[0]
+    for leaf in ordered[1:]:
+        out = App(C, (leaf, out)[::s])
     return out
 
 

@@ -17,7 +17,15 @@ equal neighbours under idempotence or cancelling them to the absorber under
 nilpotence.  delete removes one occurrence of a leaf, exploiting sortedness
 for early failure; insert_inv tries delete first and only then inserts the
 re-inverted leaf.  The inverse function f_I pushes inversion to the leaves,
-reversing the comb.  Left orientation mirrors every step.
+reversing the comb.
+
+The scheme above is written for right combs, whose exposed leaf is the first
+argument.  Both orientations run the same code through one view,
+Type2Entry.sign: it names the argument that holds the exposed leaf, splits
+C's arguments into (exposed leaf, rest) and joins such a pair back in spine
+order, and turns compare around so that a left comb keeps its largest leaf
+exposed.  acnf.comb_sign derives it from the orientation, for this module,
+the emitted engine and the AC-normal form checks alike.
 
 Leaf removal (shared by delete and the nilpotent collapse) distinguishes
 "the removed leaf was the whole value" from "a smaller comb remains": a
@@ -38,6 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
+from .acnf import comb_sign
 from .errors import SignatureError, SortError, TheoryError
 from .hashcons import HashConsTable
 from .terms import (
@@ -59,6 +68,7 @@ from .theory import (
     Type2Theory,
     Variant,
     classify,
+    validate_rule,
 )
 
 
@@ -92,6 +102,17 @@ class Type2Entry:
     @cached_property
     def orientation(self) -> str:
         return self.theory.orientation
+
+    @cached_property
+    def sign(self) -> int:
+        """The comb view (acnf.comb_sign); as a factor on compare it makes
+        c <= 0 mean "x goes on the exposed side of y" in both orientations."""
+        return comb_sign(self.orientation)
+
+    @cached_property
+    def leaf(self) -> int:
+        """Index of the argument that holds the exposed leaf."""
+        return 0 if self.sign > 0 else 1
 
     @cached_property
     def unit(self) -> Optional[Term]:
@@ -170,10 +191,7 @@ def compile_rules(
     """
     out: dict[str, list[CompiledClause]] = {}
     for rule in rules:
-        if not isinstance(rule.lhs, App):
-            raise TheoryError(
-                f"rule left-hand side must be headed by a constructor: {rule}"
-            )
+        validate_rule(sig, rule)
         lin, guard = linearize(rule.lhs)
         # recover the source-variable -> first-fresh-name mapping for the rhs
         first: dict[str, str] = {}
@@ -304,24 +322,17 @@ def _construct_ac(
             return b
         if b == unit:
             return a
-    if entry.orientation == "right":
-        if _is_c(a, ctor):
-            x, y = a.args
-            return construct(ctor, (x, construct(ctor, (y, b), fam, table)), fam, table)
-        if entry.theory.inverse is not None:
-            return insert_inv(
-                ctor, inverse_cf(entry.theory.inverse, a, fam, table), b, fam, table
-            )
-        return insert(ctor, a, b, fam, table)
-    # left orientation: the exposed end of the comb is on the right
-    if _is_c(b, ctor):
-        x, y = b.args
-        return construct(ctor, (construct(ctor, (a, x), fam, table), y), fam, table)
+    s = entry.sign
+    x, rest = args[::s]
+    if _is_c(x, ctor):
+        leaf, inner = x.args[::s]
+        inner = construct(ctor, (inner, rest)[::s], fam, table)
+        return construct(ctor, (leaf, inner)[::s], fam, table)
     if entry.theory.inverse is not None:
         return insert_inv(
-            ctor, inverse_cf(entry.theory.inverse, b, fam, table), a, fam, table
+            ctor, inverse_cf(entry.theory.inverse, x, fam, table), rest, fam, table
         )
-    return insert(ctor, b, a, fam, table)
+    return insert(ctor, x, rest, fam, table)
 
 
 def insert(
@@ -349,35 +360,21 @@ def insert(
             return entry.absorber
         if outcome == "rest":
             return construct(ctor, (entry.absorber, rest), fam, table)
-    if entry.orientation == "right":
-        if _is_c(u, ctor):
-            y, t = u.args
-            c = compare(sig, x, y)
-            if c == 0 and entry.idem:
-                return u
-            if c <= 0:
-                return App(ctor, (x, u))
-            return App(ctor, (y, insert(ctor, x, t, fam, table)))
-        c = compare(sig, x, u)
-        if c > 0:
-            return App(ctor, (u, x))
-        if c == 0 and entry.idem:
-            return u
-        return App(ctor, (x, u))
+    s = entry.sign
     if _is_c(u, ctor):
-        t, y = u.args
-        c = compare(sig, x, y)
+        y, t = u.args[::s]
+        c = s * compare(sig, x, y)
         if c == 0 and entry.idem:
             return u
-        if c >= 0:
-            return App(ctor, (u, x))
-        return App(ctor, (insert(ctor, x, t, fam, table), y))
-    c = compare(sig, x, u)
-    if c < 0:
-        return App(ctor, (x, u))
+        if c <= 0:
+            return App(ctor, (x, u)[::s])
+        return App(ctor, (y, insert(ctor, x, t, fam, table))[::s])
+    c = s * compare(sig, x, u)
+    if c > 0:
+        return App(ctor, (u, x)[::s])
     if c == 0 and entry.idem:
         return u
-    return App(ctor, (u, x))
+    return App(ctor, (x, u)[::s])
 
 
 def _remove_leaf(
@@ -391,37 +388,22 @@ def _remove_leaf(
     cannot occur further in.  Removing one leaf of a sorted comb keeps the
     rest sorted, so v is canonical whenever u was.
     """
-    entry = fam.entries[ctor]
     sig = fam.sig
-    if entry.orientation == "right":
-        if _is_c(u, ctor):
-            y, t = u.args
-            c = compare(sig, x, y)
-            if c < 0:
-                return "absent", None
-            if c == 0:
-                return "rest", t
-            outcome, rest = _remove_leaf(ctor, x, t, fam)
-            if outcome == "absent":
-                return "absent", None
-            if outcome == "empty":
-                return "rest", y
-            return "rest", App(ctor, (y, rest))
+    if not _is_c(u, ctor):
         return ("empty", None) if compare(sig, x, u) == 0 else ("absent", None)
-    if _is_c(u, ctor):
-        t, y = u.args
-        c = compare(sig, x, y)
-        if c > 0:
-            return "absent", None
-        if c == 0:
-            return "rest", t
-        outcome, rest = _remove_leaf(ctor, x, t, fam)
-        if outcome == "absent":
-            return "absent", None
-        if outcome == "empty":
-            return "rest", y
-        return "rest", App(ctor, (rest, y))
-    return ("empty", None) if compare(sig, x, u) == 0 else ("absent", None)
+    s = fam.entries[ctor].sign
+    y, t = u.args[::s]
+    c = s * compare(sig, x, y)
+    if c < 0:
+        return "absent", None
+    if c == 0:
+        return "rest", t
+    outcome, rest = _remove_leaf(ctor, x, t, fam)
+    if outcome == "absent":
+        return "absent", None
+    if outcome == "empty":
+        return "rest", y
+    return "rest", App(ctor, (y, rest)[::s])
 
 
 def delete(ctor: str, x: Term, u: Term, fam: CompiledFamily) -> Optional[Term]:

@@ -23,7 +23,7 @@ from .hashcons import HashConsTable
 from .oracle import ClosureBudget, validate_family
 from .syntax import parse_definition, parse_ground_term
 from .terms import Signature, format_term
-from .theory import TheorySpec, Variant
+from .theory import TheorySpec
 
 
 def _diag(err: CanonError) -> None:
@@ -44,25 +44,7 @@ def _load(path: str) -> Optional[str]:
         return None
 
 
-def _compile(path: str) -> Optional[tuple[Signature, TheorySpec, CompiledFamily]]:
-    """Shared front half of every command; prints diagnostics on failure."""
-    text = _load(path)
-    if text is None:
-        return None
-    sig, spec = parse_definition(text)
-    fam = compile_family(sig, spec)
-    return sig, spec, fam
-
-
-def cmd_check(path: str) -> int:
-    try:
-        loaded = _compile(path)
-    except CanonError as err:
-        _diag(err)
-        return 1
-    if loaded is None:
-        return 2
-    sig, spec, fam = loaded
+def cmd_check(spec: TheorySpec, fam: CompiledFamily) -> int:
     cl = fam.classification
     for th in cl.theories:
         extras = []
@@ -82,22 +64,10 @@ def cmd_check(path: str) -> int:
     return 0
 
 
-def cmd_norm(path: str, expr: str, sharing: bool = False) -> int:
-    try:
-        loaded = _compile(path)
-    except CanonError as err:
-        _diag(err)
-        return 1
-    if loaded is None:
-        return 2
-    sig, spec, fam = loaded
-    try:
-        t = parse_ground_term(expr, sig)
-        table = HashConsTable(sig) if sharing else None
-        v = normalize(t, fam, table)
-    except CanonError as err:
-        _diag(err)
-        return 1
+def cmd_norm(sig: Signature, fam: CompiledFamily, expr: str, sharing: bool) -> int:
+    t = parse_ground_term(expr, sig)
+    table = HashConsTable(sig) if sharing else None
+    v = normalize(t, fam, table)
     print(format_term(v))
     if table is not None:
         nodes, edges = table.sharing_stats()
@@ -105,21 +75,15 @@ def cmd_norm(path: str, expr: str, sharing: bool = False) -> int:
     return 0
 
 
-def cmd_validate(path: str, size: int = 6, budget: Optional[int] = None) -> int:
-    try:
-        loaded = _compile(path)
-    except CanonError as err:
-        _diag(err)
-        return 1
-    if loaded is None:
-        return 2
-    sig, spec, fam = loaded
+def cmd_validate(
+    sig: Signature,
+    spec: TheorySpec,
+    fam: CompiledFamily,
+    size: int,
+    budget: Optional[int],
+) -> int:
     bud = ClosureBudget(max_steps=budget) if budget is not None else None
-    try:
-        report = validate_family(fam, spec, sig, size, bud)
-    except CanonError as err:
-        _diag(err)
-        return 1
+    report = validate_family(fam, spec, sig, size, bud)
     for line in report.machine_lines():
         print(line)
     print(report.summary())
@@ -130,15 +94,7 @@ def cmd_validate(path: str, size: int = 6, budget: Optional[int] = None) -> int:
     return 0
 
 
-def cmd_emit(path: str, fmt: str = "report") -> int:
-    try:
-        loaded = _compile(path)
-    except CanonError as err:
-        _diag(err)
-        return 1
-    if loaded is None:
-        return 2
-    _, _, fam = loaded
+def cmd_emit(fam: CompiledFamily, fmt: str) -> int:
     text = emit_report(fam) if fmt == "report" else emit_code(fam)
     sys.stdout.write(text)
     return 0
@@ -179,13 +135,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args.file)
-    if args.command == "norm":
-        return cmd_norm(args.file, args.expr, args.sharing)
-    if args.command == "validate":
-        return cmd_validate(args.file, args.size, args.budget)
-    return cmd_emit(args.file, args.fmt)
+    text = _load(args.file)
+    if text is None:
+        return 2
+    try:
+        sig, spec = parse_definition(text)
+        fam = compile_family(sig, spec)
+        if args.command == "check":
+            return cmd_check(spec, fam)
+        if args.command == "norm":
+            return cmd_norm(sig, fam, args.expr, args.sharing)
+        if args.command == "validate":
+            return cmd_validate(sig, spec, fam, args.size, args.budget)
+        return cmd_emit(fam, args.fmt)
+    except CanonError as err:
+        _diag(err)
+        return 1
 
 
 def entry() -> None:

@@ -7,7 +7,9 @@ Report lines follow one fixed shape so they can be diffed and grepped:
 The code emitter writes a dependency-free module embedding the compiled
 family as data plus a small generic engine over tuple-shaped terms; it is a
 convenience (and an independent cross-check target), not a stability
-contract.
+contract.  Like the builder, the engine has one comb path for both
+orientations: each AC entry carries the builder's comb view precomputed,
+as the compare sign and the tuple indices of the exposed leaf and the rest.
 """
 
 from __future__ import annotations
@@ -170,6 +172,11 @@ def _rhs(r, b):
     return r
 
 
+def _join(C, p, leaf, rest):
+    # the comb view: put an (exposed leaf, rest) pair back in spine order
+    return (C, leaf, rest) if p["leaf"] == 1 else (C, rest, leaf)
+
+
 def _insert(C, p, x, u):
     if p["nil"]:
         out, rest = _remove(C, p, x, u)
@@ -177,68 +184,38 @@ def _insert(C, p, x, u):
             return p["absorber"]
         if out == "rest":
             return construct(C, p["absorber"], rest)
-    if p["orientation"] == "right":
-        if _is(u, C):
-            y, t = u[1], u[2]
-            c = compare(x, y)
-            if c == 0 and p["idem"]:
-                return u
-            if c <= 0:
-                return (C, x, u)
-            return (C, y, _insert(C, p, x, t))
-        c = compare(x, u)
-        if c > 0:
-            return (C, u, x)
-        if c == 0 and p["idem"]:
-            return u
-        return (C, x, u)
     if _is(u, C):
-        t, y = u[1], u[2]
-        c = compare(x, y)
+        y = u[p["leaf"]]
+        c = p["sign"] * compare(x, y)
         if c == 0 and p["idem"]:
             return u
-        if c >= 0:
-            return (C, u, x)
-        return (C, _insert(C, p, x, t), y)
-    c = compare(x, u)
-    if c < 0:
-        return (C, x, u)
+        if c <= 0:
+            return _join(C, p, x, u)
+        return _join(C, p, y, _insert(C, p, x, u[p["rest"]]))
+    c = p["sign"] * compare(x, u)
+    if c > 0:
+        return _join(C, p, u, x)
     if c == 0 and p["idem"]:
         return u
-    return (C, u, x)
+    return _join(C, p, x, u)
 
 
 def _remove(C, p, x, u):
     # one-leaf removal: ("absent", None) | ("empty", None) | ("rest", value)
-    if p["orientation"] == "right":
-        if _is(u, C):
-            y, t = u[1], u[2]
-            c = compare(x, y)
-            if c < 0:
-                return "absent", None
-            if c == 0:
-                return "rest", t
-            out, rest = _remove(C, p, x, t)
-            if out == "absent":
-                return "absent", None
-            if out == "empty":
-                return "rest", y
-            return "rest", (C, y, rest)
+    if not _is(u, C):
         return ("empty", None) if compare(x, u) == 0 else ("absent", None)
-    if _is(u, C):
-        t, y = u[1], u[2]
-        c = compare(x, y)
-        if c > 0:
-            return "absent", None
-        if c == 0:
-            return "rest", t
-        out, rest = _remove(C, p, x, t)
-        if out == "absent":
-            return "absent", None
-        if out == "empty":
-            return "rest", y
-        return "rest", (C, rest, y)
-    return ("empty", None) if compare(x, u) == 0 else ("absent", None)
+    y = u[p["leaf"]]
+    c = p["sign"] * compare(x, y)
+    if c < 0:
+        return "absent", None
+    if c == 0:
+        return "rest", u[p["rest"]]
+    out, rest = _remove(C, p, x, u[p["rest"]])
+    if out == "absent":
+        return "absent", None
+    if out == "empty":
+        return "rest", y
+    return "rest", _join(C, p, y, rest)
 
 
 def _delete(C, p, x, u):
@@ -293,17 +270,13 @@ def construct(name, *args):
             return b
         if b == unit:
             return a
-    if p["orientation"] == "right":
-        if _is(a, name):
-            return construct(name, a[1], construct(name, a[2], b))
-        if p["inverse"]:
-            return _insert_inv(name, p, _invert(p["inverse"], a), b)
-        return _insert(name, p, a, b)
-    if _is(b, name):
-        return construct(name, construct(name, a, b[1]), b[2])
+    x, rest = args[p["leaf"] - 1], args[p["rest"] - 1]
+    if _is(x, name):
+        inner = construct(*_join(name, p, x[p["rest"]], rest))
+        return construct(*_join(name, p, x[p["leaf"]], inner))
     if p["inverse"]:
-        return _insert_inv(name, p, _invert(p["inverse"], b), a)
-    return _insert(name, p, b, a)
+        return _insert_inv(name, p, _invert(p["inverse"], x), rest)
+    return _insert(name, p, x, rest)
 
 
 def normalize(t):
@@ -339,7 +312,9 @@ def emit_code(fam: CompiledFamily) -> str:
             entries[d.name] = (
                 "ac",
                 {
-                    "orientation": th.orientation,
+                    "sign": entry.sign,
+                    "leaf": 1 + entry.leaf,
+                    "rest": 2 - entry.leaf,
                     "unit": (th.unit,) if th.unit is not None else None,
                     "inverse": th.inverse,
                     "absorber": (th.absorber,) if th.absorber is not None else None,

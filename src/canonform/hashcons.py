@@ -61,13 +61,14 @@ class HashConsTable:
         return self._terms[node]
 
     def from_term(self, t: Term) -> NodeId:
+        if isinstance(t, Prim):
+            # validated before the lookup: True == 1, so a bool would find the int's node
+            return self.intern_prim(t.ptype, t.value)
         hit = self._ids.get(t)
         if hit is not None:
             return hit
         if isinstance(t, Var):
             raise SortError("cannot intern terms containing variables")
-        if isinstance(t, Prim):
-            return self.intern_prim(t.ptype, t.value)
         args = tuple(self._terms[self.from_term(a)] for a in t.args)
         self._check_arity(t.ctor, len(args))
         if any(a is not b for a, b in zip(args, t.args)):

@@ -20,18 +20,23 @@ from canonform import (
     SortError,
     TheoryError,
     Var,
+    Variant,
     compare,
     compile_family,
     compile_rules,
     construct,
     delete,
+    enumerate_ground,
     insert,
     insert_inv,
     inverse_cf,
     is_ac_normal,
+    leaves,
     linearize,
     normalize,
+    parse_definition,
 )
+from canonform.emit import emit_code
 
 from conftest import load, terms
 
@@ -163,7 +168,61 @@ def test_type2_entry_attributes_are_computed_once():
         entry = load(name)[2].entries[ctor]
         assert (entry.unit, entry.absorber) == (unit, absorber)
         assert (entry.idem, entry.nil, entry.orientation) == (idem, nil, "right")
+        assert (entry.sign, entry.leaf) == (1, 0)
         assert entry.unit is entry.unit and entry.absorber is entry.absorber
+    left = load("left_group")[2].entries["Plus"]
+    assert (left.orientation, left.sign, left.leaf) == ("left", -1, 1)
+
+
+# One signature for every catalog row: Z is the unit and O the absorber where
+# the row has them, N the inverse of the group; elsewhere they are plain
+# constructors that sit among the leaves.
+CATALOG_TYPE = "type t = Z | O | A | N(t) | P(t, t)"
+CATALOG_ATTRS = {
+    Variant.AC: "commutative",
+    Variant.GROUP: "commutative, neutral(Z), inverse(N)",
+    Variant.ACI: "commutative, idempotent",
+    Variant.ACI_NEU: "commutative, neutral(Z), idempotent",
+    Variant.ACNIL: "commutative, nilpotent(O)",
+    Variant.ACNIL_NEU: "commutative, neutral(Z), nilpotent(O)",
+}
+
+
+def _spine_view(t, orientation):
+    """t with every P-comb read as its leaf list in spine order, recursively."""
+    if isinstance(t, App) and t.ctor == "P":
+        return [_spine_view(l, orientation) for l in leaves("P", t, orientation)]
+    if isinstance(t, App):
+        return (t.ctor, *(_spine_view(a, orientation) for a in t.args))
+    return t
+
+
+def _to_tuple(t):
+    return (t.ctor, *map(_to_tuple, t.args))
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_left_combs_hold_the_right_combs_leaves(variant):
+    """Every catalog row under `associative left`: the normal form has the
+    leaves of the right-comb normal form, is AC-normal for left combs, and
+    the generated module computes it too."""
+    fams = {}
+    for orientation, assoc in (("right", "associative"), ("left", "associative left")):
+        sig, spec = parse_definition(
+            f"{CATALOG_TYPE}\nwith P: {assoc}, {CATALOG_ATTRS[variant]}"
+        )
+        fam = compile_family(sig, spec)
+        assert fam.classification.carrier["P"].variant is variant
+        ns: dict = {}
+        exec(emit_code(fam), ns)
+        fams[orientation] = fam, ns
+    for t in enumerate_ground(sig, "t", 6):
+        nf = {}
+        for orientation, (fam, ns) in fams.items():
+            nf[orientation] = normalize(t, fam)
+            assert ns["normalize"](_to_tuple(t)) == _to_tuple(nf[orientation]), t
+        assert _spine_view(nf["left"], "left") == _spine_view(nf["right"], "right"), t
+        assert is_ac_normal(sig, nf["left"], {"P": "left"}), t
 
 
 def test_delete_examples(exp):

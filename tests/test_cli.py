@@ -53,12 +53,6 @@ def test_check_rejects_commutativity_alone(capsys):
     assert "commutativity requires associativity" in err
 
 
-def test_check_missing_file(capsys):
-    code, out, err = run(capsys, "check", FIXTURES / "no_such.rdt")
-    assert code == 2
-    assert "error[io]: cannot read" in err
-
-
 def test_check_reports_parse_position(capsys, tmp_path):
     bad = tmp_path / "bad.rdt"
     bad.write_text("type t = A | a")
@@ -168,9 +162,20 @@ def test_emit_code_is_executable(capsys):
     assert ns["f_Plus"](("One",), ("Opp", ("One",))) == ("Zero",)
 
 
-def test_emit_missing_file(capsys):
-    code, out, err = run(capsys, "emit", FIXTURES / "gone.rdt")
-    assert code == 2
+# --- every command ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fixture, expected_code, expected_err",
+    [("no_such.rdt", 2, "error[io]: cannot read"), ("bad_com_only.rdt", 1, "error[theory]:")],
+)
+@pytest.mark.parametrize(
+    "command", [["check"], ["norm", "-e", "A"], ["validate"], ["emit"]], ids=lambda c: c[0]
+)
+def test_unreadable_or_rejected_definition(capsys, command, fixture, expected_code, expected_err):
+    code, out, err = run(capsys, command[0], FIXTURES / fixture, *command[1:])
+    assert (code, out) == (expected_code, "")
+    assert expected_err in err
 
 
 # --- argument parsing ----------------------------------------------------------------

@@ -133,6 +133,17 @@ def test_prim_interning():
         table.intern_prim("int", True)  # bools are not int constants
 
 
+def test_bool_constant_is_rejected_after_its_int_twin_is_interned():
+    # True == 1 with equal hashes: the check must not depend on what the table holds
+    sig, _ = parse_definition("type cell = Nil | Cons(int, cell)")
+    table = HashConsTable(sig)
+    table.intern_prim("int", 1)
+    with pytest.raises(SortError):
+        table.from_term(Prim("int", True))
+    with pytest.raises(SortError):
+        table.canonical(App("Cons", (Prim("int", True), App("Nil"))))
+
+
 def test_construct_with_table_interns_results():
     sig, spec, fam = load("exp")
     table = HashConsTable(sig)
