@@ -229,7 +229,7 @@ def compile_family(sig: Signature, spec: TheorySpec) -> CompiledFamily:
 
 def _value_sort(sig: Signature, t: Term) -> str:
     if isinstance(t, Prim):
-        return t.ptype
+        return sort_of(sig, t)
     if isinstance(t, App):
         return sig.declaration(t.ctor).result_sort
     raise SortError("construction functions take ground values")

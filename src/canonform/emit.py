@@ -77,30 +77,22 @@ def emit_report(fam: CompiledFamily) -> str:
                 e = App(th.unit)
                 out.append(_line(name, (e, y), (), "y"))
                 out.append(_line(name, (x, e), (), "x"))
-            if th.orientation == "right":
-                out.append(
-                    _line(name, (App(name, (x, y)), z), (),
-                          _call(name, "x", _call(name, "y", "z")))
-                )
-                if th.inverse is not None:
-                    out.append(
-                        _line(name, (x, y), (),
-                              f"insert_inv_{name}({_call(th.inverse, 'x')}, y)")
-                    )
-                else:
-                    out.append(_line(name, (x, y), (), f"insert_{name}(x, y)"))
+            # The builder's comb view: (a, b)[::s] puts an (exposed side,
+            # rest) pair in argument order.  A left comb's lines mirror the
+            # right comb's, variable names included.
+            s = entry.sign
+            leaf, inner, rest = ("x", "y", "z")[::s]
+            nested = App(name, (_v(leaf, sig), _v(inner, sig))[::s])
+            out.append(
+                _line(name, (nested, _v(rest, sig))[::s], (),
+                      _call(name, *(leaf, _call(name, *(inner, rest)[::s]))[::s]))
+            )
+            exposed, other = ("x", "y")[::s]
+            if th.inverse is not None:
+                inserted = f"insert_inv_{name}({_call(th.inverse, exposed)}, {other})"
             else:
-                out.append(
-                    _line(name, (x, App(name, (y, z))), (),
-                          _call(name, _call(name, "x", "y"), "z"))
-                )
-                if th.inverse is not None:
-                    out.append(
-                        _line(name, (x, y), (),
-                              f"insert_inv_{name}({_call(th.inverse, 'y')}, x)")
-                    )
-                else:
-                    out.append(_line(name, (x, y), (), f"insert_{name}(y, x)"))
+                inserted = f"insert_{name}({exposed}, {other})"
+            out.append(_line(name, (x, y), (), inserted))
     return "\n".join(out) + "\n"
 
 

@@ -61,12 +61,11 @@ class HashConsTable:
         return self._terms[node]
 
     def from_term(self, t: Term) -> NodeId:
-        if isinstance(t, Prim):
-            # validated before the lookup: True == 1, so a bool would find the int's node
-            return self.intern_prim(t.ptype, t.value)
         hit = self._ids.get(t)
         if hit is not None:
-            return hit
+            return hit  # Prim equality tells True from 1, so a hit is a valid constant
+        if isinstance(t, Prim):
+            return self.intern_prim(t.ptype, t.value)
         if isinstance(t, Var):
             raise SortError("cannot intern terms containing variables")
         args = tuple(self._terms[self.from_term(a)] for a in t.args)

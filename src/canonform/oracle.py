@@ -23,8 +23,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .acnf import Orientation, build_comb, comb, leaves, sort_combs, is_ac_normal
-from .builder import CompiledFamily, normalize
+from .acnf import Orientation, build_comb, comb, sort_combs, is_ac_normal
+from .builder import CompiledFamily, construct
 from .errors import OracleError
 from .terms import (
     App,
@@ -86,6 +86,14 @@ def _atom_key(cl: Classification, sig: Signature, th: Type2Theory, t: Term):
 def _theory_key(cl: Classification, sig: Signature, th: Type2Theory, t: Term):
     unit_key = ("f", th.unit, ()) if th.unit is not None else None
 
+    def set_key(tag: str, keys):
+        # a leaf set: empty is the unit, a single leaf stands for itself
+        if not keys:
+            return unit_key
+        if len(keys) == 1:
+            return next(iter(keys))
+        return (tag, th.ctor, frozenset(keys))
+
     if th.variant is Variant.GROUP:
         vec: Counter = Counter()
 
@@ -130,34 +138,20 @@ def _theory_key(cl: Classification, sig: Signature, th: Type2Theory, t: Term):
         return ("m", th.ctor, frozenset(bag.items()))
 
     if th.variant in (Variant.ACI, Variant.ACI_NEU):
-        keys = frozenset(bag)
-        if not keys:
-            return unit_key
-        if len(keys) == 1:
-            return next(iter(keys))
-        return ("s", th.ctor, keys)
+        return set_key("s", bag.keys())
 
     # nilpotent: every equal pair of leaves turns into one absorber, and any
     # positive number of absorbers collapses to one
     a_key = ("f", th.absorber, ())
     if th.absorber == th.unit:
         # the absorber is the unit: pairs vanish entirely, pure parity
-        keys = frozenset(k for k, n in bag.items() if n % 2 == 1)
-        if not keys:
-            return unit_key
-        if len(keys) == 1:
-            return next(iter(keys))
-        return ("n", th.ctor, keys)
+        return set_key("n", {k for k, n in bag.items() if n % 2 == 1})
     absorbers = bag.pop(a_key, 0)
     has_a = absorbers >= 1 or any(n >= 2 for n in bag.values())
     keys = {k for k, n in bag.items() if n % 2 == 1}
     if has_a:
         keys.add(a_key)
-    if not keys:
-        return unit_key  # only reachable with a distinct unit present
-    if len(keys) == 1:
-        return next(iter(keys))
-    return ("n", th.ctor, frozenset(keys))
+    return set_key("n", keys)  # empty only with a distinct unit present
 
 
 def algebraic_equal(cl: Classification, sig: Signature, t: Term, u: Term) -> bool:
@@ -229,51 +223,6 @@ def _neighbors(t: Term, directed, cap: int) -> Iterator[Term]:
                     yield nt
 
 
-def closure_equal(
-    eqs: Sequence[tuple[Term, Term]],
-    t: Term,
-    u: Term,
-    budget: Optional[ClosureBudget] = None,
-) -> bool:
-    """True iff a bounded bidirectional search proves t and u equal under eqs.
-
-    False means unknown, never unequal.  Monotone in the budget: a YES stays
-    YES for any larger budget.
-    """
-    if t == u:
-        return True
-    bud = budget or ClosureBudget()
-    cap = bud.max_term_size or max(size(t), size(u)) + 4
-    directed = _directed(eqs)
-    seen_a, seen_b = {t}, {u}
-    front_a, front_b = [t], [u]
-    states = 2
-    while front_a or front_b:
-        # expand the smaller live frontier; deterministic, budget-independent
-        if front_a and (not front_b or len(front_a) <= len(front_b)):
-            front, seen, other = front_a, seen_a, seen_b
-            which = "a"
-        else:
-            front, seen, other = front_b, seen_b, seen_a
-            which = "b"
-        new: list[Term] = []
-        for s in front:
-            for nb in _neighbors(s, directed, cap):
-                if nb in other:
-                    return True
-                if nb not in seen:
-                    states += 1
-                    if states > bud.max_steps:
-                        return False
-                    seen.add(nb)
-                    new.append(nb)
-        if which == "a":
-            front_a = new
-        else:
-            front_b = new
-    return False
-
-
 class _UnionFind:
     def __init__(self):
         self.parent: dict = {}
@@ -302,9 +251,10 @@ def closure_classes(
     cap = bud.max_term_size or max((size(s) for s in seeds), default=1) + 4
     directed = _directed(eqs)
     uf = _UnionFind()
-    seen = set(seeds)
-    queue = deque(seen)
-    for s in seen:
+    # seed order, not set order: a truncated search must not depend on hashing
+    queue = deque(dict.fromkeys(seeds))
+    seen = set(queue)
+    for s in queue:
         uf.find(s)
     states = len(seen)
     truncated = False
@@ -322,6 +272,21 @@ def closure_classes(
     return uf, truncated
 
 
+def closure_equal(
+    eqs: Sequence[tuple[Term, Term]],
+    t: Term,
+    u: Term,
+    budget: Optional[ClosureBudget] = None,
+) -> bool:
+    """True iff the bounded closure seeded with t and u puts them in one class.
+
+    False means unknown, never unequal.  Monotone in the budget: a YES stays
+    YES for any larger budget.
+    """
+    uf, _truncated = closure_classes(eqs, [t, u], budget)
+    return uf.find(t) == uf.find(u)
+
+
 # ---------------------------------------------------------------------------
 # redex search modulo AC
 
@@ -330,17 +295,6 @@ def _flatten_term(C: str, t: Term) -> list[Term]:
     if isinstance(t, App) and t.ctor == C:
         return _flatten_term(C, t.args[0]) + _flatten_term(C, t.args[1])
     return [t]
-
-
-def _group_term(sig: Signature, C: str, parts: list[Term], orientation: str) -> Term:
-    if len(parts) == 1:
-        return parts[0]
-    ordered = sorted(parts, key=lambda s: _sort_key(sig, s))
-    return build_comb(C, ordered, orientation)
-
-
-def _sort_key(sig: Signature, t: Term):
-    return functools.cmp_to_key(lambda a, b: compare(sig, a, b))(t)
 
 
 def _submultisets(items: list[tuple[Term, int]]) -> Iterator[Counter]:
@@ -412,11 +366,13 @@ def _ac_match_leaves(
                     sig, orientation, C, rest, remaining - need, binding
                 )
             return
-        items = sorted(remaining.items(), key=lambda kv: _sort_key(sig, kv[0]))
+        key = functools.cmp_to_key(lambda a, b: compare(sig, a, b))
+        items = sorted(remaining.items(), key=lambda kv: key(kv[0]))
         for chosen in _submultisets(items):
+            # chosen lists its leaves in items' order, so they come out sorted
             b2 = dict(binding)
-            b2[p.name] = _group_term(
-                sig, C, list(chosen.elements()), orientation.get(C, "right")
+            b2[p.name] = build_comb(
+                C, list(chosen.elements()), orientation.get(C, "right")
             )
             yield from _ac_match_leaves(
                 sig, orientation, C, rest, remaining - chosen, b2
@@ -519,60 +475,60 @@ def validate_family(
     max_size: int,
     budget: Optional[ClosureBudget] = None,
 ) -> ValidationReport:
-    """Exhaustively check the family on every term up to max_size nodes."""
+    """Exhaustively check the family on every term up to max_size nodes.
+
+    Terms come after their arguments, so each normal form is one construct
+    call.  One class function judges correctness and completeness: the
+    algebraic key, or the closure class for rule-defined families.
+    """
     cl = fam.classification
     orientation = cl.orientations()
     report = ValidationReport(max_size=max_size)
 
     terms = enumerate_ground(sig, sig.rdt_sort, max_size)
-    nf = {t: normalize(t, fam) for t in terms}
+    nf: dict[Term, Term] = {}
+    for t in terms:
+        nf[t] = construct(t.ctor, tuple(nf[a] for a in t.args), fam)
 
-    rules: list[RewriteRule] = []
-    for th in cl.theories:
-        rules.extend(builtin_presentation(th, sig))
+    rules = [r for th in cl.theories for r in builtin_presentation(th, sig)]
     rules.extend(spec.rules)
 
+    truncated = False
+    if cl.type1:
+        seeds = list(dict.fromkeys([*terms, *nf.values()]))
+        uf, truncated = closure_classes(equations_of(spec, sig), seeds, budget)
+        class_of = uf.find
+    else:
+        class_of = functools.partial(semantic_key, cl, sig)
+
+    # many terms share a normal form: check each value once
+    checked: dict[Term, tuple] = {}
+    groups: dict = {}
     for t in terms:
         v = nf[t]
-        if not is_ac_normal(sig, v, orientation):
+        if v not in checked:
+            checked[v] = (
+                is_ac_normal(sig, v, orientation),
+                find_redex(sig, v, rules, orientation),
+                class_of(v),
+            )
+        acnf_ok, hit, v_class = checked[v]
+        if not acnf_ok:
             report.acnf_violations.append((t, v))
-        hit = find_redex(sig, v, rules, orientation)
         if hit is not None:
             report.redexes.append((t, v, str(hit[1])))
-
-    if not cl.type1:
-        for t in terms:
-            if not algebraic_equal(cl, sig, t, nf[t]):
-                report.correctness.append((t, nf[t]))
-        groups: dict = {}
-        for t in terms:
-            groups.setdefault(semantic_key(cl, sig, t), []).append(t)
-        for members in groups.values():
-            rep = members[0]
-            for u in members[1:]:
-                if nf[u] != nf[rep]:
-                    report.completeness.append((rep, u))
-    else:
-        eqs = equations_of(spec, sig)
-        seeds = list(terms)
-        seen = set(seeds)
-        for v in nf.values():
-            if v not in seen:
-                seen.add(v)
-                seeds.append(v)
-        uf, truncated = closure_classes(eqs, seeds, budget)
-        for t in terms:
-            if uf.find(t) != uf.find(nf[t]):
-                report.unknowns.append(("correctness not proved within budget", t, nf[t]))
-        groups = {}
-        for t in terms:
-            groups.setdefault(uf.find(t), []).append(t)
-        for members in groups.values():
-            rep = members[0]
-            for u in members[1:]:
-                if nf[u] != nf[rep]:
-                    report.completeness.append((rep, u))
-        if truncated:
-            anchor = seeds[0]
-            report.unknowns.append(("closure budget exhausted", anchor, anchor))
+        k = class_of(t)
+        if k != v_class:
+            if cl.type1:
+                report.unknowns.append(("correctness not proved within budget", t, v))
+            else:
+                report.correctness.append((t, v))
+        groups.setdefault(k, []).append(t)
+    for members in groups.values():
+        rep = members[0]
+        for u in members[1:]:
+            if nf[u] != nf[rep]:
+                report.completeness.append((rep, u))
+    if truncated:
+        report.unknowns.append(("closure budget exhausted", terms[0], terms[0]))
     return report

@@ -30,12 +30,29 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prim:
-    """Primitive constant of one of the built-in domains."""
+    """Primitive constant of one of the built-in domains.
+
+    Equality also compares the value's Python type: True == 1 with equal
+    hashes, so without it a lookup for a bool constant (never a valid term)
+    would find its int twin in any term set or hash-consing table.
+    """
 
     ptype: str
     value: Union[int, str]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Prim):
+            return NotImplemented
+        return (
+            self.ptype == other.ptype
+            and self.value == other.value
+            and type(self.value) is type(other.value)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ptype, self.value))
 
     def __str__(self) -> str:
         return format_term(self)

@@ -96,7 +96,7 @@ def test_criterion_1_abelian_group_normal_forms():
     for t in universe:
         v = normalize(t, fam)
         assert ival(v) == ival(t), format_term(t)
-        assert is_ac_normal(v, sig, orient), format_term(v)
+        assert is_ac_normal(sig, v, orient), format_term(v)
         assert find_redex(sig, v, rules, orient) is None, format_term(v)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -139,7 +139,7 @@ def test_criterion_3_aci_and_nilpotent_suites():
         for t in universe:
             v = normalize(t, fam)
             assert key(v) == key(t), format_term(t)
-            assert is_ac_normal(v, sig, orient), format_term(v)
+            assert is_ac_normal(sig, v, orient), format_term(v)
             assert find_redex(sig, v, rules, orient) is None, format_term(v)
             by_key[key(t)].add(v)
         for k, forms in by_key.items():

@@ -15,6 +15,7 @@ import pytest
 from canonform import (
     App,
     CompiledClause,
+    Prim,
     RewriteRule,
     SignatureError,
     SortError,
@@ -340,3 +341,8 @@ def test_construct_checks_arity_and_sorts(exp):
         construct("Plus", (ONE,), fam)
     with pytest.raises(SortError):
         normalize(Var("x", "exp"), fam)
+    sig, spec = parse_definition("type cell = Nil | Cons(int, cell)")
+    cell = compile_family(sig, spec)
+    for bad in (Prim("int", "abc"), Prim("int", True), Prim("int", 2.5)):
+        with pytest.raises(SortError):
+            construct("Cons", (bad, App("Nil")), cell)

@@ -62,6 +62,16 @@ def test_report_for_ac_only_theories():
         "f_Xor: (Xor(x, y), z) -> f_Xor(x, f_Xor(y, z))",
         "f_Xor: (x, y) -> insert_Xor(x, y)",
     ]
+    sig, spec = parse_definition(
+        "type formula = X | Y | Or(formula, formula)\n"
+        "with Or: associative left, commutative, idempotent"
+    )
+    assert emit_report(compile_family(sig, spec)).splitlines() == [
+        "f_X: () -> X",
+        "f_Y: () -> Y",
+        "f_Or: (x, Or(y, z)) -> f_Or(f_Or(x, y), z)",
+        "f_Or: (x, y) -> insert_Or(y, x)",
+    ]
 
 
 def test_report_for_free_type_is_defaults_only():

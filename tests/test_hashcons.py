@@ -142,6 +142,10 @@ def test_bool_constant_is_rejected_after_its_int_twin_is_interned():
         table.from_term(Prim("int", True))
     with pytest.raises(SortError):
         table.canonical(App("Cons", (Prim("int", True), App("Nil"))))
+    # nor on a whole App already interned with the int in the same place
+    table.canonical(App("Cons", (Prim("int", 1), App("Nil"))))
+    with pytest.raises(SortError):
+        table.canonical(App("Cons", (Prim("int", True), App("Nil"))))
 
 
 def test_construct_with_table_interns_results():

@@ -9,8 +9,14 @@ budget to answer.
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import canonform
 
 from canonform import (
     App,
@@ -153,6 +159,34 @@ def test_closure_partition_matches_algebraic_on_small_terms():
         assert (uf.find(t) == uf.find(u)) == algebraic_equal(cl, sig, t, u), (t, u)
 
 
+def test_truncated_closure_does_not_depend_on_hashing(fixtures_dir):
+    """String hashes change between interpreters; a search cut short by its
+    budget must still explore the same states, so the classes agree."""
+    code = (
+        "import pathlib, sys\n"
+        "from canonform import (ClosureBudget, closure_classes, enumerate_ground,\n"
+        "    equations_of, parse_definition)\n"
+        "sig, spec = parse_definition(pathlib.Path(sys.argv[1]).read_text())\n"
+        "u = enumerate_ground(sig, sig.rdt_sort, 5)\n"
+        "uf, cut = closure_classes(equations_of(spec, sig), u, ClosureBudget(max_steps=400))\n"
+        "assert cut\n"
+        "classes = {}\n"
+        "for t in u:\n"
+        "    classes.setdefault(uf.find(t), []).append(str(t))\n"
+        "print(sorted(sorted(c) for c in classes.values()))\n"
+    )
+    src = str(pathlib.Path(canonform.__file__).parents[1])
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code, str(fixtures_dir / "exp.rdt")],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outs) == 1
+
+
 def test_closure_budget_validation():
     with pytest.raises(OracleError):
         ClosureBudget(max_steps=0)
@@ -194,7 +228,7 @@ def test_values_of_valid_family_are_redex_free():
 
 
 def test_validate_clean_families():
-    for name, size in [("exp", 6), ("aci", 7), ("acnil", 7), ("left_group", 5)]:
+    for name, size in [("exp", 8), ("aci", 7), ("acnil", 7), ("left_group", 7)]:
         sig, spec, fam = load(name)
         report = validate_family(fam, spec, sig, max_size=size)
         assert report.ok, f"{name}: {report.summary()}"
@@ -224,6 +258,47 @@ def test_validate_detects_broken_insert(monkeypatch):
     for line in report.machine_lines():
         kind = line.split("\t")[0]
         assert kind in {"correctness", "completeness", "acnf", "redex", "unknown"}
+
+
+def unsorted_insert(ctor, x, u, fam, table=None):
+    return App(ctor, (x, u))
+
+
+def never_cancel(ctor, x_inv, y, fam, table=None):
+    inv = fam.entries[ctor].theory.inverse
+    x = builder.inverse_cf(inv, x_inv, fam, table)
+    return builder.insert(ctor, x, y, fam, table)
+
+
+@pytest.mark.parametrize(
+    "name, attr, sabotage, summary",
+    [
+        ("vec", "insert", unsorted_insert, "scale 5: 24 completeness, 24 acnf"),
+        ("vec", "insert_inv", never_cancel, "scale 5: 8 completeness, 8 redex"),
+        ("left_group", "insert", unsorted_insert, "scale 5: 24 completeness, 32 acnf"),
+        ("left_group", "insert_inv", never_cancel, "scale 5: 8 completeness, 8 redex"),
+        (
+            "acnil", "insert", unsorted_insert,
+            "scale 5: 58 completeness, 37 acnf, 45 redex",
+        ),
+    ],
+)
+def test_validate_reports_the_normal_forms_of_a_sabotaged_build(
+    monkeypatch, name, attr, sabotage, summary
+):
+    """validate_family builds each normal form from its arguments' normal
+    forms; every value it reports must still be what normalize returns."""
+    sig, spec, _ = load(name)
+    monkeypatch.setattr(builder, attr, sabotage)
+    fam = compile_family(sig, spec)
+    report = validate_family(fam, spec, sig, max_size=5)
+    assert report.summary() == summary
+    pairs = report.correctness + report.acnf_violations
+    pairs += [(t, v) for t, v, _ in report.redexes]
+    pairs += [(t, v) for _, t, v in report.unknowns]
+    assert pairs
+    for t, v in pairs:
+        assert v == normalize(t, fam), t
 
 
 def test_validate_type1_with_tiny_budget_reports_unknowns():
