@@ -24,8 +24,12 @@ argument.  Both orientations run the same code through one view,
 Type2Entry.sign: it names the argument that holds the exposed leaf, splits
 C's arguments into (exposed leaf, rest) and joins such a pair back in spine
 order, and turns compare around so that a left comb keeps its largest leaf
-exposed.  acnf.comb_sign derives it from the orientation, for this module,
-the emitted engine and the AC-normal form checks alike.
+exposed.  acnf.comb_sign derives it from the orientation, for this module
+and the AC-normal form checks alike.
+
+The AC functions, from _construct_ac to inverse_cf, are the only copy of
+the scheme: emit_code prints them verbatim into every generated module
+whose family has an AC constructor, and there they run on tuples.
 
 Leaf removal (shared by delete and the nilpotent collapse) distinguishes
 "the removed leaf was the whole value" from "a smaller comb remains": a
@@ -110,9 +114,8 @@ class Type2Entry:
         return comb_sign(self.orientation)
 
     @cached_property
-    def leaf(self) -> int:
-        """Index of the argument that holds the exposed leaf."""
-        return 0 if self.sign > 0 else 1
+    def inverse(self) -> Optional[str]:
+        return self.theory.inverse
 
     @cached_property
     def unit(self) -> Optional[Term]:
@@ -239,6 +242,14 @@ def _is_c(t: Term, ctor: str) -> bool:
     return isinstance(t, App) and t.ctor == ctor
 
 
+def _split(t: App, s: int) -> tuple[Term, ...]:
+    """t's arguments in comb-view order (see Type2Entry.sign)."""
+    return t.args[::s]
+
+
+_make = App  # the shared AC block builds C-headed values through this name
+
+
 def _match(pattern: Term, value: Term, binding: dict[str, Term]) -> bool:
     if isinstance(pattern, Var):
         binding[pattern.name] = value  # linear patterns never rebind
@@ -308,13 +319,13 @@ def construct(
     return result
 
 
-def _construct_ac(
-    ctor: str,
-    entry: Type2Entry,
-    args: tuple[Term, Term],
-    fam: CompiledFamily,
-    table: Optional[HashConsTable],
-) -> Term:
+# emit_code prints the text between these markers into generated modules,
+# which bind the names it uses to tuple-world versions.  So the block has no
+# annotations and no imports (the word must not appear inside it), touches
+# terms only through _is_c, _split, _make and compare, and reads entries only
+# through their attributes.
+# --- begin shared AC block ---
+def _construct_ac(ctor, entry, args, fam, table):
     a, b = args
     unit = entry.unit
     if unit is not None:
@@ -325,23 +336,17 @@ def _construct_ac(
     s = entry.sign
     x, rest = args[::s]
     if _is_c(x, ctor):
-        leaf, inner = x.args[::s]
+        leaf, inner = _split(x, s)
         inner = construct(ctor, (inner, rest)[::s], fam, table)
         return construct(ctor, (leaf, inner)[::s], fam, table)
-    if entry.theory.inverse is not None:
+    if entry.inverse is not None:
         return insert_inv(
-            ctor, inverse_cf(entry.theory.inverse, x, fam, table), rest, fam, table
+            ctor, inverse_cf(entry.inverse, x, fam, table), rest, fam, table
         )
     return insert(ctor, x, rest, fam, table)
 
 
-def insert(
-    ctor: str,
-    x: Term,
-    u: Term,
-    fam: CompiledFamily,
-    table: Optional[HashConsTable] = None,
-) -> Term:
+def insert(ctor, x, u, fam, table=None):
     """Place leaf x into value u, keeping leaves sorted; x is not C-headed.
 
     Nilpotence is handled up front: if x already occurs among u's leaves,
@@ -361,25 +366,18 @@ def insert(
         if outcome == "rest":
             return construct(ctor, (entry.absorber, rest), fam, table)
     s = entry.sign
-    if _is_c(u, ctor):
-        y, t = u.args[::s]
-        c = s * compare(sig, x, y)
-        if c == 0 and entry.idem:
-            return u
-        if c <= 0:
-            return App(ctor, (x, u)[::s])
-        return App(ctor, (y, insert(ctor, x, t, fam, table))[::s])
-    c = s * compare(sig, x, u)
-    if c > 0:
-        return App(ctor, (u, x)[::s])
+    y, t = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
+    c = s * compare(sig, x, y)
     if c == 0 and entry.idem:
         return u
-    return App(ctor, (x, u)[::s])
+    if c <= 0:
+        return _make(ctor, (x, u)[::s])
+    if t is not None:
+        x = insert(ctor, x, t, fam, table)
+    return _make(ctor, (y, x)[::s])
 
 
-def _remove_leaf(
-    ctor: str, x: Term, u: Term, fam: CompiledFamily
-) -> tuple[str, Optional[Term]]:
+def _remove_leaf(ctor, x, u, fam):
     """Remove one occurrence of leaf x from value u.
 
     Returns ("absent", None) when x does not occur, ("empty", None) when u
@@ -392,7 +390,7 @@ def _remove_leaf(
     if not _is_c(u, ctor):
         return ("empty", None) if compare(sig, x, u) == 0 else ("absent", None)
     s = fam.entries[ctor].sign
-    y, t = u.args[::s]
+    y, t = _split(u, s)
     c = s * compare(sig, x, y)
     if c < 0:
         return "absent", None
@@ -403,68 +401,54 @@ def _remove_leaf(
         return "absent", None
     if outcome == "empty":
         return "rest", y
-    return "rest", App(ctor, (y, rest)[::s])
+    return "rest", _make(ctor, (y, rest)[::s])
 
 
-def delete(ctor: str, x: Term, u: Term, fam: CompiledFamily) -> Optional[Term]:
+def delete(ctor, x, u, fam):
     """Remove one occurrence of leaf x from value u; None when x does not occur.
 
     Cancelling the last remaining leaf yields the neutral element (the
     empty sum); removing a leaf from deeper inside a comb yields the
     smaller comb itself, never a spine with the unit wrapped in.
     """
-    entry = fam.entries[ctor]
     outcome, rest = _remove_leaf(ctor, x, u, fam)
-    if outcome == "absent":
-        return None
     if outcome == "empty":
-        return entry.unit
-    return rest
+        return fam.entries[ctor].unit
+    return rest  # None when x is absent
 
 
-def insert_inv(
-    ctor: str,
-    x_inv: Term,
-    y: Term,
-    fam: CompiledFamily,
-    table: Optional[HashConsTable] = None,
-) -> Term:
+def insert_inv(ctor, x_inv, y, fam, table=None):
     """Group insertion: x arrives already inverted; cancel it against y if
     possible, otherwise insert the original leaf back (f_I is an involution
     on values, so inverting again restores it)."""
     found = delete(ctor, x_inv, y, fam)
     if found is not None:
         return found
-    inv = fam.entries[ctor].theory.inverse
+    inv = fam.entries[ctor].inverse
     return insert(ctor, inverse_cf(inv, x_inv, fam, table), y, fam, table)
 
 
-def inverse_cf(
-    inv_ctor: str,
-    v: Term,
-    fam: CompiledFamily,
-    table: Optional[HashConsTable] = None,
-) -> Term:
+def inverse_cf(inv_ctor, v, fam, table=None):
     """Construction function f_I: push inversion down to the leaves."""
     entry = fam.entries[inv_ctor]
     if not isinstance(entry, InverseEntry):
         raise TheoryError(f"{inv_ctor!r} is not the inverse of an AC constructor")
     carrier = entry.carrier
-    t2: Type2Entry = fam.entries[carrier]
-    if v == t2.unit:
+    if v == fam.entries[carrier].unit:
         return v
     if _is_c(v, inv_ctor):
-        return v.args[0]
+        return _split(v, 1)[0]
     if _is_c(v, carrier):
-        x, y = v.args
+        x, y = _split(v, 1)
         return construct(
             carrier,
             (inverse_cf(inv_ctor, y, fam, table), inverse_cf(inv_ctor, x, fam, table)),
             fam,
             table,
         )
-    result = App(inv_ctor, (v,))
+    result = _make(inv_ctor, (v,))
     return table.canonical(result) if table is not None else result
+# --- end shared AC block ---
 
 
 def normalize(

@@ -39,8 +39,9 @@ def _load(path: str) -> Optional[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        print(f"error[io]: cannot read {path}: {exc.strerror}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 at byte {exc.start}"
+        print(f"error[io]: cannot read {path}: {reason}", file=sys.stderr)
         return None
 
 

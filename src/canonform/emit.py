@@ -4,16 +4,17 @@ Report lines follow one fixed shape so they can be diffed and grepped:
 
     f_C: <pattern> [when <guard>] -> <rhs>
 
-The code emitter writes a dependency-free module embedding the compiled
-family as data plus a small generic engine over tuple-shaped terms; it is a
-convenience (and an independent cross-check target), not a stability
-contract.  Like the builder, the engine has one comb path for both
-orientations: each AC entry carries the builder's comb view precomputed,
-as the compare sign and the tuple indices of the exposed leaf and the rest.
+The code emitter writes a dependency-free module that embeds the compiled
+family as data and runs the builder's own AC functions on tuple-shaped
+terms: a short tuple-world prelude, then those functions printed verbatim
+from builder.py.  It is a convenience, not a stability contract.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
+from . import builder
 from .builder import (
     CompiledFamily,
     FreeEntry,
@@ -117,31 +118,69 @@ def _tuple_term(t: Term):
     return (t.ctor,) + tuple(_tuple_term(a) for a in t.args)
 
 
-_ENGINE = '''
-def _is(t, c):
-    return isinstance(t, tuple) and t[0] == c
+# The generated module: a tuple-world prelude, then the builder's own AC
+# functions.  Terms are tuples, so the four names through which those
+# functions touch terms get tuple versions here, compare takes CTOR_INDEX as
+# its signature, and entries are attribute records like the builder's.  The
+# clause and AC parts are left out of modules whose family has no such entry.
+_PRELUDE = '''
+class Record:
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
 
 
-def compare(t, u):
-    tp, up = isinstance(t, tuple), isinstance(u, tuple)
-    if tp != up:
-        return 1 if tp else -1  # primitive constants sort first
-    if not tp:
-        ta = "int" if isinstance(t, int) else "string"
-        ua = "int" if isinstance(u, int) else "string"
-        if ta != ua:
-            return -1 if ta < ua else 1
-        return (t > u) - (t < u)
-    a, b = CTOR_INDEX[t[0]], CTOR_INDEX[u[0]]
+class FreeEntry(Record):
+    pass
+
+
+class Type1Entry(Record):
+    pass
+
+
+class Type2Entry(Record):
+    pass
+
+
+class InverseEntry(Record):
+    pass
+
+
+def compare(sig, t, u):
+    if type(t) is not tuple or type(u) is not tuple:
+        # constants sort first, integers before strings
+        a, b = (type(t) is tuple, type(t) is str, t), (type(u) is tuple, type(u) is str, u)
+        return (a > b) - (a < b)
+    a, b = sig[t[0]], sig[u[0]]
     if a != b:
         return (a > b) - (a < b)
     for x, y in zip(t[1:], u[1:]):
-        c = compare(x, y)
+        c = compare(sig, x, y)
         if c:
             return c
     return 0
 
 
+def construct(ctor, args, fam, table=None):
+    if len(args) != CTOR_ARITY[ctor]:
+        raise ValueError(f"{ctor} expects {CTOR_ARITY[ctor]} arguments")
+    entry = fam.entries[ctor]
+    kind = type(entry)
+    if kind is Type2Entry:
+        return _construct_ac(ctor, entry, args, fam, table)
+    if kind is InverseEntry:
+        return inverse_cf(ctor, args[0], fam, table)
+    if kind is Type1Entry:
+        return _first_clause(ctor, entry, args, fam)
+    return (ctor,) + args
+
+
+def normalize(t):
+    if isinstance(t, tuple):
+        return construct(t[0], tuple(map(normalize, t[1:])), FAMILY)
+    return t
+'''
+
+_CLAUSES = '''
 def _match(p, v, b):
     if isinstance(p, tuple) and p[0] == "?":
         b[p[1]] = v
@@ -156,164 +195,75 @@ def _match(p, v, b):
     return p == v
 
 
-def _rhs(r, b):
+def _rhs(r, b, fam):
     if isinstance(r, tuple) and r[0] == "?":
         return b[r[1]]
     if isinstance(r, tuple):
-        return construct(r[0], *[_rhs(a, b) for a in r[1:]])
+        return construct(r[0], tuple([_rhs(a, b, fam) for a in r[1:]]), fam)
     return r
 
 
-def _join(C, p, leaf, rest):
-    # the comb view: put an (exposed leaf, rest) pair back in spine order
-    return (C, leaf, rest) if p["leaf"] == 1 else (C, rest, leaf)
-
-
-def _insert(C, p, x, u):
-    if p["nil"]:
-        out, rest = _remove(C, p, x, u)
-        if out == "empty":
-            return p["absorber"]
-        if out == "rest":
-            return construct(C, p["absorber"], rest)
-    if _is(u, C):
-        y = u[p["leaf"]]
-        c = p["sign"] * compare(x, y)
-        if c == 0 and p["idem"]:
-            return u
-        if c <= 0:
-            return _join(C, p, x, u)
-        return _join(C, p, y, _insert(C, p, x, u[p["rest"]]))
-    c = p["sign"] * compare(x, u)
-    if c > 0:
-        return _join(C, p, u, x)
-    if c == 0 and p["idem"]:
-        return u
-    return _join(C, p, x, u)
-
-
-def _remove(C, p, x, u):
-    # one-leaf removal: ("absent", None) | ("empty", None) | ("rest", value)
-    if not _is(u, C):
-        return ("empty", None) if compare(x, u) == 0 else ("absent", None)
-    y = u[p["leaf"]]
-    c = p["sign"] * compare(x, y)
-    if c < 0:
-        return "absent", None
-    if c == 0:
-        return "rest", u[p["rest"]]
-    out, rest = _remove(C, p, x, u[p["rest"]])
-    if out == "absent":
-        return "absent", None
-    if out == "empty":
-        return "rest", y
-    return "rest", _join(C, p, y, rest)
-
-
-def _delete(C, p, x, u):
-    out, rest = _remove(C, p, x, u)
-    if out == "absent":
-        return None
-    if out == "empty":
-        return p["unit"]
-    return rest
-
-
-def _insert_inv(C, p, x_inv, y):
-    found = _delete(C, p, x_inv, y)
-    if found is not None:
-        return found
-    return _insert(C, p, _invert(p["inverse"], x_inv), y)
-
-
-def _invert(I, v):
-    carrier = ENTRIES[I][1]
-    p = ENTRIES[carrier][1]
-    if v == p["unit"]:
-        return v
-    if _is(v, I):
-        return v[1]
-    if _is(v, carrier):
-        return construct(carrier, _invert(I, v[2]), _invert(I, v[1]))
-    return (I, v)
-
-
-def construct(name, *args):
-    if len(args) != CTOR_ARITY[name]:
-        raise ValueError(f"{name} expects {CTOR_ARITY[name]} arguments")
-    e = ENTRIES[name]
-    if e[0] == "free":
-        return (name,) + args
-    if e[0] == "clauses":
-        for pats, guard, rhs in e[1]:
-            b = {}
-            if all(_match(pt, v, b) for pt, v in zip(pats, args)) and all(
-                compare(b[i], b[j]) == 0 for i, j in guard
-            ):
-                return _rhs(rhs, b)
-        return (name,) + args
-    if e[0] == "inv":
-        return _invert(name, args[0])
-    p = e[1]
-    a, b = args
-    unit = p["unit"]
-    if unit is not None:
-        if a == unit:
-            return b
-        if b == unit:
-            return a
-    x, rest = args[p["leaf"] - 1], args[p["rest"] - 1]
-    if _is(x, name):
-        inner = construct(*_join(name, p, x[p["rest"]], rest))
-        return construct(*_join(name, p, x[p["leaf"]], inner))
-    if p["inverse"]:
-        return _insert_inv(name, p, _invert(p["inverse"], x), rest)
-    return _insert(name, p, x, rest)
-
-
-def normalize(t):
-    if isinstance(t, tuple):
-        return construct(t[0], *[normalize(a) for a in t[1:]])
-    return t
+def _first_clause(ctor, entry, args, fam):
+    for pats, guard, rhs in entry.clauses:
+        b = {}
+        if all(_match(p, v, b) for p, v in zip(pats, args)) and all(
+            compare(fam.sig, b[i], b[j]) == 0 for i, j in guard
+        ):
+            return _rhs(rhs, b, fam)
+    return (ctor,) + args  # implicit default clause
 '''
+
+_AC_SHAPES = '''
+class TheoryError(Exception):
+    pass
+
+
+def _is_c(t, C):
+    return type(t) is tuple and t[0] == C
+
+
+def _split(t, s):
+    return t[1::s] if s > 0 else t[:0:-1]
+
+
+def _make(C, args):
+    return (C,) + args
+'''
+
+_BEGIN, _END = "# --- begin shared AC block ---\n", "# --- end shared AC block ---\n"
+
+
+@cache
+def _shared_block() -> str:
+    """The builder's AC functions, as written in builder.py between the markers."""
+    with open(builder.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    return source[source.index(_BEGIN) + len(_BEGIN) : source.index(_END)]
+
+
+def _entry_code(entry) -> str:
+    if isinstance(entry, FreeEntry):
+        return "FreeEntry()"
+    if isinstance(entry, Type1Entry):
+        clauses = tuple(
+            (tuple(_tuple_term(p) for p in c.patterns), c.guard, _tuple_term(c.rhs))
+            for c in entry.clauses
+        )
+        return f"Type1Entry(clauses={clauses!r})"
+    if isinstance(entry, InverseEntry):
+        return f"InverseEntry(carrier={entry.carrier!r})"
+    unit, absorber = (None if t is None else _tuple_term(t) for t in (entry.unit, entry.absorber))
+    return (
+        f"Type2Entry(sign={entry.sign}, unit={unit!r}, absorber={absorber!r}, "
+        f"idem={entry.idem}, nil={entry.nil}, inverse={entry.inverse!r})"
+    )
 
 
 def emit_code(fam: CompiledFamily) -> str:
     sig = fam.sig
     index = {d.name: i for i, d in enumerate(sig.constructors)}
     arity = {d.name: d.arity for d in sig.constructors}
-    entries: dict[str, object] = {}
-    for d in sig.constructors:
-        entry = fam.entries[d.name]
-        if isinstance(entry, FreeEntry):
-            entries[d.name] = ("free",)
-        elif isinstance(entry, Type1Entry):
-            clauses = tuple(
-                (
-                    tuple(_tuple_term(p) for p in c.patterns),
-                    c.guard,
-                    _tuple_term(c.rhs),
-                )
-                for c in entry.clauses
-            )
-            entries[d.name] = ("clauses", clauses)
-        elif isinstance(entry, InverseEntry):
-            entries[d.name] = ("inv", entry.carrier)
-        else:
-            th = entry.theory
-            entries[d.name] = (
-                "ac",
-                {
-                    "sign": entry.sign,
-                    "leaf": 1 + entry.leaf,
-                    "rest": 2 - entry.leaf,
-                    "unit": (th.unit,) if th.unit is not None else None,
-                    "inverse": th.inverse,
-                    "absorber": (th.absorber,) if th.absorber is not None else None,
-                    "idem": entry.idem,
-                    "nil": entry.nil,
-                },
-            )
+    kinds = {type(e) for e in fam.entries.values()}
     lines = [
         f'"""Construction functions for the {sig.rdt_sort!r} data type.',
         "",
@@ -324,16 +274,23 @@ def emit_code(fam: CompiledFamily) -> str:
         "",
         f"CTOR_ARITY = {arity!r}",
         "",
-        f"ENTRIES = {entries!r}",
         "",
-        _ENGINE.strip(),
+        _PRELUDE.strip(),
         "",
         "",
     ]
+    if Type1Entry in kinds:
+        lines += [_CLAUSES.strip(), "", ""]
+    lines.append("FAMILY = Record(sig=CTOR_INDEX, entries={")
+    for d in sig.constructors:
+        lines.append(f"    {d.name!r}: {_entry_code(fam.entries[d.name])},")
+    lines += ["})", "", ""]
     for d in sig.constructors:
         params = ", ".join(f"x{i}" for i in range(1, d.arity + 1))
-        args = (", " + params) if params else ""
+        args = f"({params}{',' if d.arity == 1 else ''})"
         lines.append(f"def f_{d.name}({params}):")
-        lines.append(f'    return construct("{d.name}"{args})')
-        lines.append("")
-    return "\n".join(lines)
+        lines.append(f'    return construct("{d.name}", {args}, FAMILY)')
+        lines += ["", ""]
+    if Type2Entry in kinds:
+        lines += [_AC_SHAPES.strip(), "", "", _shared_block()]
+    return "\n".join(lines).rstrip("\n") + "\n"

@@ -27,6 +27,7 @@ class HashConsTable:
         self.sig = sig
         self._ids: dict[Term, NodeId] = {}
         self._terms: list[Term] = []
+        self._arg_sorts = {d.name: d.arg_sorts for d in sig.constructors}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -37,16 +38,23 @@ class HashConsTable:
             self._terms.append(term)
         return node
 
-    def _check_arity(self, ctor: str, n: int) -> None:
-        decl = self.sig.declaration(ctor)
-        if n != decl.arity:
-            raise SignatureError(f"{ctor!r} expects {decl.arity} children, got {n}")
+    def _check(self, ctor: str, args: tuple[Term, ...]) -> None:
+        """Arity and argument sorts of ctor applied to interned terms."""
+        sorts = self._arg_sorts.get(ctor)
+        if sorts is None:
+            self.sig.declaration(ctor)  # raises SignatureError: unknown constructor
+        if len(args) != len(sorts):
+            raise SignatureError(f"{ctor!r} expects {len(sorts)} children, got {len(args)}")
+        rdt = self.sig.rdt_sort
+        for a, s in zip(args, sorts):
+            if (a.ptype if type(a) is Prim else rdt) != s:
+                raise SortError(f"ill-sorted child for {ctor!r}: {a}")
 
     def intern(self, ctor: str, children: Sequence[NodeId]) -> NodeId:
         """Node for ctor applied to already-interned children."""
-        children = tuple(children)
-        self._check_arity(ctor, len(children))
-        return self._add(App(ctor, tuple(self.to_term(c) for c in children)))
+        args = tuple(self.to_term(c) for c in children)
+        self._check(ctor, args)
+        return self._add(App(ctor, args))
 
     def intern_prim(self, ptype: str, value: Union[int, str]) -> NodeId:
         if ptype not in self.sig.primitives:
@@ -69,7 +77,7 @@ class HashConsTable:
         if isinstance(t, Var):
             raise SortError("cannot intern terms containing variables")
         args = tuple(self._terms[self.from_term(a)] for a in t.args)
-        self._check_arity(t.ctor, len(args))
+        self._check(t.ctor, args)
         if any(a is not b for a, b in zip(args, t.args)):
             t = App(t.ctor, args)  # keep the caller's object when it is canonical
         return self._add(t)

@@ -161,18 +161,18 @@ def test_insert_nil_cancels_to_absorber():
 
 def test_type2_entry_attributes_are_computed_once():
     cases = {
-        "exp": ("Plus", ZERO, None, False, False),
-        "aci": ("Or", None, None, True, False),
-        "acnil": ("Xor", None, App("Bot"), False, True),
+        "exp": ("Plus", ZERO, None, "Opp", False, False),
+        "aci": ("Or", None, None, None, True, False),
+        "acnil": ("Xor", None, App("Bot"), None, False, True),
     }
-    for name, (ctor, unit, absorber, idem, nil) in cases.items():
+    for name, (ctor, unit, absorber, inverse, idem, nil) in cases.items():
         entry = load(name)[2].entries[ctor]
-        assert (entry.unit, entry.absorber) == (unit, absorber)
+        assert (entry.unit, entry.absorber, entry.inverse) == (unit, absorber, inverse)
         assert (entry.idem, entry.nil, entry.orientation) == (idem, nil, "right")
-        assert (entry.sign, entry.leaf) == (1, 0)
+        assert entry.sign == 1
         assert entry.unit is entry.unit and entry.absorber is entry.absorber
     left = load("left_group")[2].entries["Plus"]
-    assert (left.orientation, left.sign, left.leaf) == ("left", -1, 1)
+    assert (left.orientation, left.sign, left.inverse) == ("left", -1, "Opp")
 
 
 # One signature for every catalog row: Z is the unit and O the absorber where

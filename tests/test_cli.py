@@ -167,13 +167,23 @@ def test_emit_code_is_executable(capsys):
 
 @pytest.mark.parametrize(
     "fixture, expected_code, expected_err",
-    [("no_such.rdt", 2, "error[io]: cannot read"), ("bad_com_only.rdt", 1, "error[theory]:")],
+    [
+        ("no_such.rdt", 2, "error[io]: cannot read"),
+        ("latin1.rdt", 2, "error[io]: cannot read"),
+        ("bad_com_only.rdt", 1, "error[theory]:"),
+    ],
 )
 @pytest.mark.parametrize(
     "command", [["check"], ["norm", "-e", "A"], ["validate"], ["emit"]], ids=lambda c: c[0]
 )
-def test_unreadable_or_rejected_definition(capsys, command, fixture, expected_code, expected_err):
-    code, out, err = run(capsys, command[0], FIXTURES / fixture, *command[1:])
+def test_unreadable_or_rejected_definition(
+    capsys, tmp_path, command, fixture, expected_code, expected_err
+):
+    path = FIXTURES / fixture
+    if fixture == "latin1.rdt":  # a valid definition, except for one Latin-1 byte
+        path = tmp_path / fixture
+        path.write_bytes(b"type t = A | B\n# caf\xe9\n")
+    code, out, err = run(capsys, command[0], path, *command[1:])
     assert (code, out) == (expected_code, "")
     assert expected_err in err
 

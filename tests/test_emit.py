@@ -1,15 +1,25 @@
 """Clause reports and standalone generated modules.
 
-Report lines are frozen verbatim; the generated module is executed and
-cross-checked against the in-process normalizer over enumerated terms,
-so the two implementations vouch for each other.
+Report lines are frozen verbatim.  The generated module runs the builder's
+own AC functions on tuples: the tests check that it carries them verbatim
+with every name they use bound, and that it agrees with the in-process
+normalizer over enumerated terms, which exercises the tuple-world prelude.
 """
 
 from __future__ import annotations
 
+import builtins
+import dis
+import inspect
+import itertools
+
 import pytest
 
 from canonform import (
+    App,
+    Prim,
+    builder,
+    compare,
     compile_family,
     enumerate_ground,
     normalize,
@@ -149,3 +159,66 @@ def test_generated_module_matches_builder(name):
     max_size = 6 if name in ("exp", "left_group") else 7
     for t in terms(name, max_size):
         assert via_module(t) == to_tuple(normalize(t, fam)), t
+
+
+# --- one source for the AC scheme ----------------------------------------------------
+
+SHARED = [
+    builder._construct_ac,
+    builder.insert,
+    builder._remove_leaf,
+    builder.delete,
+    builder.insert_inv,
+    builder.inverse_cf,
+]
+
+
+def global_names(code) -> set[str]:
+    """Names a code object and the code objects nested in it load as globals."""
+    names = {
+        ins.argval
+        for ins in dis.get_instructions(code)
+        if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")
+    }
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= global_names(const)
+    return names
+
+
+@pytest.mark.parametrize("name", ["exp", "left_group", "acnil", "neu_rules", "free"])
+def test_generated_module_carries_the_builders_ac_functions_verbatim(name):
+    _, _, fam = load(name)
+    code = emit_code(fam)
+    assert "import" not in code
+    if not fam.classification.theories:  # no AC constructor, no AC functions
+        assert not any(f"def {fn.__name__}(" in code for fn in SHARED)
+        return
+    # one contiguous block, in the builder's order, as its source reads
+    assert "\n\n".join(inspect.getsource(fn) for fn in SHARED) in code
+
+
+def test_every_global_the_shared_functions_use_is_bound_in_the_generated_module():
+    _, _, fam = load("exp")
+    ns = exec_module(fam)
+    used = set().union(*(global_names(fn.__code__) for fn in SHARED))
+    assert {"_is_c", "_split", "_make", "compare", "construct"} <= used
+    unbound = sorted(n for n in used if n not in ns and not hasattr(builtins, n))
+    assert unbound == []
+    # each shared function is the builder's own code, compiled again
+    for fn in SHARED:
+        assert ns[fn.__name__].__code__.co_code == fn.__code__.co_code
+
+
+def test_generated_compare_orders_constants_like_the_library():
+    sig, spec = parse_definition("type bag = I(int) | S(string) | U(bag, bag)")
+    ns = exec_module(compile_family(sig, spec))
+    values = [-2, 0, 7, "", "B", "a", ("I", 0), ("S", "a"), ("U", ("I", 0), ("I", -2))]
+
+    def term(v):
+        if isinstance(v, tuple):
+            return App(v[0], tuple(term(a) for a in v[1:]))
+        return Prim("int" if isinstance(v, int) else "string", v)
+
+    for u, v in itertools.product(values, repeat=2):
+        assert ns["compare"](ns["CTOR_INDEX"], u, v) == compare(sig, term(u), term(v)), (u, v)

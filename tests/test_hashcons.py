@@ -133,6 +133,25 @@ def test_prim_interning():
         table.intern_prim("int", True)  # bools are not int constants
 
 
+def test_ill_sorted_children_are_rejected():
+    # construct rejects these values, so the table must not hold them either
+    sig, _ = parse_definition("type cell = Nil | Cons(int, cell)")
+    table = HashConsTable(sig)
+    nil, one = table.intern("Nil", ()), table.intern_prim("int", 1)
+    with pytest.raises(SortError):
+        table.intern("Cons", (nil, nil))
+    with pytest.raises(SortError):
+        table.intern("Cons", (one, one))
+    with pytest.raises(SortError):
+        table.canonical(App("Cons", (App("Nil"), App("Nil"))))
+    with pytest.raises(SortError):
+        table.canonical(App("Cons", (Prim("int", 1), Prim("int", 2))))
+    stored = [table.to_term(i) for i in range(len(table))]
+    assert not any(isinstance(t, App) and t.ctor == "Cons" for t in stored)
+    good = table.intern("Cons", (one, nil))
+    assert table.canonical(App("Cons", (Prim("int", 1), App("Nil")))) is table.to_term(good)
+
+
 def test_bool_constant_is_rejected_after_its_int_twin_is_interned():
     # True == 1 with equal hashes: the check must not depend on what the table holds
     sig, _ = parse_definition("type cell = Nil | Cons(int, cell)")
