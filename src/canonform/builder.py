@@ -8,16 +8,25 @@ constructors run the generic scheme:
 
     f_C(E, x)       = x                      when a neutral element exists
     f_C(x, E)       = x
+    f_C(x, y)       = merge(x, y)            when x and y are both C-combs
     f_C(C(x,y), z)  = f_C(x, f_C(y, z))      reassociation (right orientation)
     f_C(x, y)       = insert_inv(f_I(x), y)  when an inverse exists
     f_C(x, y)       = insert(x, y)           otherwise
 
+merge walks the two sorted spines in one pass and builds the result comb
+once, reusing the tail of whichever comb outlasts the other; equal leaves
+collapse, cancel to the absorber, or (in a group) x cancels I(x), as the
+variant says.  So a balanced sum of n leaves costs O(n log n) leaf steps,
+not the O(n^2) of re-inserting one leaf at a time.  A comb meeting a lone
+leaf still goes through reassociation, one leaf at a time via insert.
 insert places a non-C leaf at its ordered position in a comb, collapsing
 equal neighbours under idempotence or cancelling them to the absorber under
 nilpotence.  delete removes one occurrence of a leaf, exploiting sortedness
 for early failure; insert_inv tries delete first and only then inserts the
 re-inverted leaf.  The inverse function f_I pushes inversion to the leaves,
-reversing the comb.
+reversing the comb.  merge, reassociation, insert and leaf removal walk a
+spine in a loop, so they cap no comb's length at Python's recursion limit;
+f_I still recurses down the comb it inverts.
 
 The scheme above is written for right combs, whose exposed leaf is the first
 argument.  Both orientations run the same code through one view,
@@ -40,8 +49,8 @@ Instead the collapse result re-enters the construction function, which
 re-places the absorber correctly.
 
 Normalizing a whole term is the bottom-up fold of the construction
-functions; the recursion tracks Python's stack depth, so extremely deep
-inputs (around a thousand nested applications) are out of scope.
+functions; the fold recurses along the input's nesting depth, so extremely
+deep inputs (around a thousand nested applications) are out of scope.
 """
 
 from __future__ import annotations
@@ -70,7 +79,6 @@ from .theory import (
     RewriteRule,
     TheorySpec,
     Type2Theory,
-    Variant,
     classify,
     validate_rule,
 )
@@ -336,14 +344,118 @@ def _construct_ac(ctor, entry, args, fam, table):
     s = entry.sign
     x, rest = args[::s]
     if _is_c(x, ctor):
-        leaf, inner = _split(x, s)
-        inner = construct(ctor, (inner, rest)[::s], fam, table)
-        return construct(ctor, (leaf, inner)[::s], fam, table)
+        if _is_c(rest, ctor):
+            return _merge(ctor, entry, x, rest, fam, table)
+        # f_C(C(x1, C(x2, ... xn)), z) = f_C(x1, f_C(x2, ... f_C(xn, z))):
+        # a comb meets a leaf one leaf at a time, the innermost leaf first
+        spine = []
+        while True:
+            leaf, x = _split(x, s)
+            spine.append(leaf)
+            if not _is_c(x, ctor):
+                break
+        rest = construct(ctor, (x, rest)[::s], fam, table)
+        while spine:
+            rest = construct(ctor, (spine.pop(), rest)[::s], fam, table)
+        return rest
     if entry.inverse is not None:
         return insert_inv(
             ctor, inverse_cf(entry.inverse, x, fam, table), rest, fam, table
         )
     return insert(ctor, x, rest, fam, table)
+
+
+def _merge(ctor, entry, u, v, fam, table):
+    """f_C of two combs u and v: one pass down both sorted spines.
+
+    The leaves taken before either spine runs out are rebuilt in order;
+    what is left of the other comb is a sorted comb already and becomes the
+    innermost part of the result as it is, so a small comb meeting a large
+    one costs about what inserting its leaves would.  Equal leaves collapse
+    to one under idempotence and cancel under nilpotence, and the absorber
+    of the cancelled pairs re-enters through the construction function.  In
+    a group, x cancels I(x) wherever the two sit, so the rest of the other
+    comb is read as well and _cancel_inverses drops the pairs.
+    """
+    sig = fam.sig
+    s = entry.sign
+    collapse = entry.idem or entry.nil
+    cancelled = False
+    taken = []
+    x, u = _split(u, s)  # exposed leaves and the rest, None after the last leaf
+    y, v = _split(v, s)
+    while True:
+        c = s * compare(sig, x, y)
+        if c > 0:
+            x, u, y, v = y, v, x, u  # x is the leaf that goes first
+        if c == 0 and collapse:
+            if entry.idem:
+                taken.append(x)
+            else:
+                cancelled = True
+            if u is None or v is None:
+                tail = v if u is None else u
+                break
+            y, v = _split(v, s) if _is_c(v, ctor) else (v, None)
+        else:
+            taken.append(x)
+            if u is None:
+                taken.append(y)
+                tail = v
+                break
+        x, u = _split(u, s) if _is_c(u, ctor) else (u, None)
+    if entry.inverse is not None:
+        while _is_c(tail, ctor):
+            leaf, tail = _split(tail, s)
+            taken.append(leaf)
+        if tail is not None:
+            taken.append(tail)
+        taken = _cancel_inverses(fam, entry, taken)
+        if not taken:
+            return entry.unit
+        tail = None
+    if tail is None:
+        if not taken:
+            return entry.absorber
+        tail = taken.pop()
+    while taken:
+        tail = _make(ctor, (taken.pop(), tail)[::s])
+    if cancelled:
+        return construct(ctor, (entry.absorber, tail)[::s], fam, table)
+    return tail
+
+
+def _cancel_inverses(fam, entry, leaves):
+    """Drop every pair x, I(x) from a group's sorted leaf list.
+
+    The I-headed leaves form one run, ordered by their arguments, and the
+    other leaves are ordered too, so one linear match of the run against
+    the others finds the pairs.
+    """
+    sig = fam.sig
+    s = entry.sign
+    n = len(leaves)
+    i = 0
+    while i < n and not _is_c(leaves[i], entry.inverse):
+        i += 1
+    j = i
+    while j < n and _is_c(leaves[j], entry.inverse):
+        j += 1
+    keep = [True] * n
+    k = i
+    for p in range(n):
+        if i <= p < j:
+            continue
+        c = -1
+        while k < j:
+            c = s * compare(sig, _split(leaves[k], 1)[0], leaves[p])
+            if c >= 0:
+                break
+            k += 1
+        if c == 0:  # leaves[p] and leaves[k], its inverse, cancel
+            keep[p] = keep[k] = False
+            k += 1
+    return [t for t, kept in zip(leaves, keep) if kept]
 
 
 def insert(ctor, x, u, fam, table=None):
@@ -355,26 +467,34 @@ def insert(ctor, x, u, fam, table=None):
     an ordinary leaf with its own ordered position, and may itself cancel
     against an absorber already present).  After that check the plain
     ordered insertion can never collide, so rebuilding the spine directly
-    is safe.
+    is safe.  The walk down the spine is a loop; the leaves that stay on
+    the exposed side of x are then rebuilt around the part that takes x.
     """
     entry = fam.entries[ctor]
     sig = fam.sig
+    s = entry.sign
     if entry.nil:
         outcome, rest = _remove_leaf(ctor, x, u, fam)
         if outcome == "empty":
             return entry.absorber
         if outcome == "rest":
-            return construct(ctor, (entry.absorber, rest), fam, table)
-    s = entry.sign
-    y, t = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
-    c = s * compare(sig, x, y)
-    if c == 0 and entry.idem:
-        return u
-    if c <= 0:
-        return _make(ctor, (x, u)[::s])
-    if t is not None:
-        x = insert(ctor, x, t, fam, table)
-    return _make(ctor, (y, x)[::s])
+            return construct(ctor, (entry.absorber, rest)[::s], fam, table)
+    passed = []
+    while True:
+        y, r = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
+        c = s * compare(sig, x, y)
+        if c <= 0:
+            if c < 0 or not entry.idem:
+                u = _make(ctor, (x, u)[::s])
+            break
+        if r is None:
+            u = _make(ctor, (y, x)[::s])
+            break
+        passed.append(y)
+        u = r
+    while passed:
+        u = _make(ctor, (passed.pop(), u)[::s])
+    return u
 
 
 def _remove_leaf(ctor, x, u, fam):
@@ -390,18 +510,23 @@ def _remove_leaf(ctor, x, u, fam):
     if not _is_c(u, ctor):
         return ("empty", None) if compare(sig, x, u) == 0 else ("absent", None)
     s = fam.entries[ctor].sign
-    y, t = _split(u, s)
-    c = s * compare(sig, x, y)
-    if c < 0:
-        return "absent", None
-    if c == 0:
-        return "rest", t
-    outcome, rest = _remove_leaf(ctor, x, t, fam)
-    if outcome == "absent":
-        return "absent", None
-    if outcome == "empty":
-        return "rest", y
-    return "rest", _make(ctor, (y, rest)[::s])
+    passed = []
+    while True:
+        y, u = _split(u, s)
+        c = s * compare(sig, x, y)
+        if c < 0:
+            return "absent", None
+        if c == 0:
+            break
+        passed.append(y)
+        if not _is_c(u, ctor):  # the innermost leaf
+            if compare(sig, x, u) != 0:
+                return "absent", None
+            u = passed.pop()
+            break
+    while passed:
+        u = _make(ctor, (passed.pop(), u)[::s])
+    return "rest", u
 
 
 def delete(ctor, x, u, fam):

@@ -9,8 +9,11 @@ in the examples were worked out from the group axioms by hand and frozen.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonform import (
     App,
@@ -22,6 +25,7 @@ from canonform import (
     TheoryError,
     Var,
     Variant,
+    build_comb,
     compare,
     compile_family,
     compile_rules,
@@ -202,6 +206,19 @@ def _to_tuple(t):
     return (t.ctor, *map(_to_tuple, t.args))
 
 
+def _is_p(t):
+    return isinstance(t, App) and t.ctor == "P"
+
+
+def _catalog_family(variant, assoc):
+    """The catalog row's family over CATALOG_TYPE, and its generated module."""
+    sig, spec = parse_definition(f"{CATALOG_TYPE}\nwith P: {assoc}, {CATALOG_ATTRS[variant]}")
+    fam = compile_family(sig, spec)
+    ns: dict = {}
+    exec(emit_code(fam), ns)
+    return sig, fam, ns
+
+
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_left_combs_hold_the_right_combs_leaves(variant):
     """Every catalog row under `associative left`: the normal form has the
@@ -209,13 +226,8 @@ def test_left_combs_hold_the_right_combs_leaves(variant):
     the generated module computes it too."""
     fams = {}
     for orientation, assoc in (("right", "associative"), ("left", "associative left")):
-        sig, spec = parse_definition(
-            f"{CATALOG_TYPE}\nwith P: {assoc}, {CATALOG_ATTRS[variant]}"
-        )
-        fam = compile_family(sig, spec)
+        sig, fam, ns = _catalog_family(variant, assoc)
         assert fam.classification.carrier["P"].variant is variant
-        ns: dict = {}
-        exec(emit_code(fam), ns)
         fams[orientation] = fam, ns
     for t in enumerate_ground(sig, "t", 6):
         nf = {}
@@ -224,6 +236,99 @@ def test_left_combs_hold_the_right_combs_leaves(variant):
             assert ns["normalize"](_to_tuple(t)) == _to_tuple(nf[orientation]), t
         assert _spine_view(nf["left"], "left") == _spine_view(nf["right"], "right"), t
         assert is_ac_normal(sig, nf["left"], {"P": "left"}), t
+
+
+def _fold_leaf(fam, v, leaf):
+    """Add one leaf to value v the leaf-at-a-time way: builder.insert, or
+    builder.insert_inv of its inverse in a group."""
+    entry = fam.entries["P"]
+    if v == entry.unit:
+        return leaf
+    if entry.inverse is not None:
+        return insert_inv("P", inverse_cf(entry.inverse, leaf, fam), v, fam)
+    return insert("P", leaf, v, fam)
+
+
+@pytest.mark.parametrize("assoc", ["associative", "associative left"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_comb_merge_equals_the_leaf_at_a_time_fold(variant, assoc):
+    """construct on two combs merges their spines in one pass; it must give
+    the value that folding the second comb's leaves into the first one at a
+    time gives, in the library and in the generated module alike."""
+    sig, fam, ns = _catalog_family(variant, assoc)
+    entry = fam.entries["P"]
+    orientation = entry.orientation
+    A, O, N = App("A"), App("O"), lambda t: App("N", (t,))
+    # few distinct leaves, so equal leaves, x next to N(x) and the absorber O
+    # are common; every pool entry is a canonical non-P leaf
+    pool = []
+    for t in (A, O, N(A), N(O), N(N(A)), N(App("P", (A, O)))):
+        nf = normalize(t, fam)
+        if nf != entry.unit and not _is_p(nf) and nf not in pool:
+            pool.append(nf)
+    leaf_lists = st.lists(st.sampled_from(pool), min_size=2, max_size=60)
+
+    def value(parts):
+        v = parts[0]
+        for leaf in parts[1:]:
+            v = _fold_leaf(fam, v, leaf)
+        return v
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(leaf_lists, leaf_lists)
+    def check(xs, ys):
+        x, y = value(xs), value(ys)
+        expected = x
+        if y != entry.unit:
+            for leaf in leaves("P", y, orientation) if _is_p(y) else [y]:
+                expected = _fold_leaf(fam, expected, leaf)
+        assert construct("P", (x, y), fam) == expected
+        assert is_ac_normal(sig, expected, {"P": orientation})
+        assert ns["construct"]("P", (_to_tuple(x), _to_tuple(y)), ns["FAMILY"]) == _to_tuple(expected)
+
+    check()
+
+
+def _tuple_leaves(t):
+    """Leaf list of a generated module's right P comb."""
+    out = []
+    while isinstance(t, tuple) and t[0] == "P":
+        leaf, t = t[1:]
+        out.append(leaf)
+    out.append(t)
+    return out
+
+
+def test_large_sums_and_combs_need_no_deep_recursion():
+    """A 5,000-leaf balanced sum normalizes, and a 5,000-leaf comb takes an
+    insert at its far end and gives up its deepest leaf, under the default
+    recursion limit.  Results are read with leaves: == on terms recurses."""
+    sig, spec = parse_definition("type t = L | S(t) | P(t, t)\nwith P: associative, commutative")
+    fam = compile_family(sig, spec)
+    ns: dict = {}
+    exec(emit_code(fam), ns)
+    rng = random.Random(6)
+
+    def s_power(k):
+        t = App("L")
+        for _ in range(k):
+            t = App("S", (t,))
+        return t
+
+    parts = [s_power(rng.randrange(8)) for _ in range(5000)]
+    ordered = sorted(parts, key=lambda t: str(t).count("S"))
+    t = parts
+    while len(t) > 1:
+        t = [App("P", tuple(t[i : i + 2])) if i + 1 < len(t) else t[i] for i in range(0, len(t), 2)]
+    t = t[0]
+    assert leaves("P", normalize(t, fam)) == ordered
+    nf = ns["normalize"](_to_tuple(t))
+    assert _tuple_leaves(nf) == [_to_tuple(l) for l in ordered]
+
+    big = build_comb("P", ordered)
+    last = s_power(8)
+    assert leaves("P", insert("P", last, big, fam)) == ordered + [last]
+    assert leaves("P", delete("P", ordered[-1], big, fam)) == ordered[:-1]
 
 
 def test_delete_examples(exp):

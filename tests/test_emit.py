@@ -21,7 +21,6 @@ from canonform import (
     builder,
     compare,
     compile_family,
-    enumerate_ground,
     normalize,
     parse_definition,
 )
@@ -165,6 +164,8 @@ def test_generated_module_matches_builder(name):
 
 SHARED = [
     builder._construct_ac,
+    builder._merge,
+    builder._cancel_inverses,
     builder.insert,
     builder._remove_leaf,
     builder.delete,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -19,13 +20,16 @@ from canonform import (
     SignatureError,
     SortError,
     Var,
+    cli,
     compile_family,
     construct,
+    format_term,
     normalize,
     parse_definition,
+    parse_ground_term,
 )
 
-from conftest import load, terms
+from conftest import FIXTURES, load, terms
 
 ZERO, ONE = App("Zero"), App("One")
 
@@ -243,6 +247,37 @@ def test_edges_equal_the_arities_of_distinct_subterms():
         seen = distinct_subterms(universe)
         arities = sum(len(s.args) for s in seen if isinstance(s, App))
         assert table.sharing_stats() == (len(seen), arities)
+
+
+@pytest.mark.parametrize(
+    "name, ac, pool",
+    [
+        ("exp", "Plus", ["Zero", "One", "Opp(One)"]),
+        ("vec", "Plus", ["Zero", "A", "B", "Opp(A)", "Opp(B)"]),
+        ("left_group", "Plus", ["Zero", "A", "B", "Opp(A)", "Opp(B)"]),
+        ("aci", "Or", ["X", "Y"]),
+        ("acnil", "Xor", ["Bot", "X", "Y"]),
+    ],
+)
+def test_norm_sharing_counts_cover_the_value_and_the_input_leaves(capsys, name, ac, pool):
+    """`norm --sharing` interns what the construction functions return, not
+    necessarily every partial sum; its counts must still cover each distinct
+    subterm of the normal form and of every input leaf, with their arities."""
+    sig, _, fam = load(name)
+    rng = random.Random(11)
+    for n in (2, 7, 16, 40):
+        parts = [rng.choice(pool) for _ in range(n)]
+        sums = parts
+        while len(sums) > 1:  # balanced, so combs meet combs
+            sums = [f"{ac}({a}, {b})" for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) - len(sums) % 2 :]
+        assert cli.main(["norm", str(FIXTURES / f"{name}.rdt"), "--sharing", "-e", sums[0]]) == 0
+        out, err = capsys.readouterr()
+        nodes, edges = map(int, re.fullmatch(r"sharing: nodes=(\d+) edges=(\d+)\n", err).groups())
+        value = normalize(parse_ground_term(sums[0], sig), fam)
+        assert out == format_term(value) + "\n"
+        seen = distinct_subterms([value] + [normalize(parse_ground_term(p, sig), fam) for p in parts])
+        assert nodes >= len(seen), sums[0]
+        assert edges >= sum(len(t.args) for t in seen if isinstance(t, App)), sums[0]
 
 
 def test_sharing_hashes_each_node_a_bounded_number_of_times(monkeypatch):
