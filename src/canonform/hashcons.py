@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from .errors import CanonError, SignatureError, SortError
-from .terms import App, Prim, Signature, Term, Var
+from .terms import App, Prim, Signature, Term, Var, cache_hashes
 
 NodeId = int
 
@@ -68,19 +68,43 @@ class HashConsTable:
             raise CanonError(f"unknown node id {node!r}")
         return self._terms[node]
 
-    def from_term(self, t: Term) -> NodeId:
-        hit = self._ids.get(t)
-        if hit is not None:
-            return hit  # Prim equality tells True from 1, so a hit is a valid constant
-        if isinstance(t, Prim):
-            return self.intern_prim(t.ptype, t.value)
+    def _intern_leaf(self, t: Term) -> NodeId:
+        """A Prim or Var that is not in the table yet."""
         if isinstance(t, Var):
             raise SortError("cannot intern terms containing variables")
-        args = tuple(self._terms[self.from_term(a)] for a in t.args)
-        self._check(t.ctor, args)
-        if any(a is not b for a, b in zip(args, t.args)):
-            t = App(t.ctor, args)  # keep the caller's object when it is canonical
-        return self._add(t)
+        return self.intern_prim(t.ptype, t.value)
+
+    def from_term(self, t: Term) -> NodeId:
+        cache_hashes(t)  # a merge hands over a rebuilt comb prefix: a chain of new nodes
+        ids, terms = self._ids, self._terms
+        hit = ids.get(t)
+        if hit is not None:
+            return hit  # Prim equality tells True from 1, so a hit is a valid constant
+        if not isinstance(t, App):
+            return self._intern_leaf(t)
+        # post-order over the new nodes: (node, canonical children so far)
+        stack = [(t, [])]
+        while stack:
+            u, args = stack[-1]
+            if len(args) < len(u.args):
+                a = u.args[len(args)]
+                hit = ids.get(a)
+                if hit is None:
+                    if isinstance(a, App):
+                        stack.append((a, []))
+                        continue
+                    hit = self._intern_leaf(a)
+                args.append(terms[hit])
+                continue
+            stack.pop()
+            args = tuple(args)
+            self._check(u.ctor, args)
+            if any(a is not b for a, b in zip(args, u.args)):
+                u = App(u.ctor, args)  # keep the caller's object when it is canonical
+            hit = self._add(u)
+            if stack:
+                stack[-1][1].append(terms[hit])
+        return hit
 
     def canonical(self, t: Term) -> Term:
         """The one shared Term object structurally equal to t."""

@@ -92,6 +92,21 @@ Term = Union[Var, Prim, App]
 Position = tuple[int, ...]
 
 
+def cache_hashes(t: Term) -> None:
+    """Cache the hash of t and of every App below it whose hash is not cached
+    yet, deepest first, so hashing a long chain of new nodes (a rebuilt comb)
+    afterwards costs no recursion."""
+    stack = [t] if type(t) is App and t._hash is None else []
+    while stack:
+        u = stack[-1]
+        new = [a for a in u.args if type(a) is App and a._hash is None]
+        if new:
+            stack.extend(new)
+        else:
+            stack.pop()  # every child's hash is cached now
+            object.__setattr__(u, "_hash", hash((u.ctor, u.args)))
+
+
 @dataclass(frozen=True)
 class ConstructorDecl:
     name: str

@@ -322,3 +322,39 @@ def test_sharing_hashes_each_node_a_bounded_number_of_times(monkeypatch):
     assert shared == normalize(term, fam)
     assert counts["from_term"] > 0
     assert counts["hash"] <= 8 * counts["from_term"], counts
+
+
+def test_sharing_normalizes_a_large_balanced_sum_without_recursion():
+    """With a table, a merge hands from_term a whole rebuilt comb prefix: it is
+    interned (and hashed) without recursion.  Results are read with loops,
+    since == and format_term on a 5,000-leaf comb recurse."""
+    sig, spec = parse_definition("type t = L | S(t) | P(t, t)\nwith P: associative, commutative")
+    fam = compile_family(sig, spec)
+    rng = random.Random(8)
+
+    def s_power(k):
+        t = App("L")
+        for _ in range(k):
+            t = App("S", (t,))
+        return t
+
+    def spine(t):
+        out = []
+        while isinstance(t, App) and t.ctor == "P":
+            out.append(t.args[0])
+            t = t.args[1]
+        return out + [t]
+
+    t = [s_power(rng.randrange(20)) for _ in range(5000)]
+    while len(t) > 1:
+        t = [App("P", tuple(t[i : i + 2])) if i + 1 < len(t) else t[i] for i in range(0, len(t), 2)]
+    table = HashConsTable(sig)
+    shared = normalize(t[0], fam, table)
+    assert spine(shared) == spine(normalize(t[0], fam))  # leaves compare shallowly
+    seen = distinct_subterms([shared])
+    counts = (len(seen), sum(len(s.args) for s in seen if isinstance(s, App)))
+    fresh = HashConsTable(sig)
+    fresh.from_term(shared)
+    assert fresh.sharing_stats() == counts
+    nodes, edges = table.sharing_stats()  # partial sums are interned too
+    assert nodes >= counts[0] and edges >= counts[1]
