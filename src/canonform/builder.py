@@ -9,7 +9,7 @@ constructors run the generic scheme:
     f_C(E, x)       = x                      when a neutral element exists
     f_C(x, E)       = x
     f_C(x, y)       = merge(x, y)            when x and y are both C-combs
-    f_C(C(x,y), z)  = f_C(x, f_C(y, z))      reassociation (right orientation)
+    f_C(C(x,y), z)  = f_C(z, C(x,y))         commutativity (right orientation)
     f_C(x, y)       = insert_inv(f_I(x), y)  when an inverse exists
     f_C(x, y)       = insert(x, y)           otherwise
 
@@ -18,15 +18,16 @@ once, reusing the tail of whichever comb outlasts the other; equal leaves
 collapse, cancel to the absorber, or (in a group) x cancels I(x), as the
 variant says.  So a balanced sum of n leaves costs O(n log n) leaf steps,
 not the O(n^2) of re-inserting one leaf at a time.  A comb meeting a lone
-leaf still goes through reassociation, one leaf at a time via insert.
-insert places a non-C leaf at its ordered position in a comb, collapsing
-equal neighbours under idempotence or cancelling them to the absorber under
-nilpotence.  delete removes one occurrence of a leaf, exploiting sortedness
-for early failure; insert_inv tries delete first and only then inserts the
-re-inverted leaf.  The inverse function f_I pushes inversion to the leaves,
-reversing the comb.  merge, reassociation, insert and leaf removal walk a
-spine in a loop, so they cap no comb's length at Python's recursion limit;
-f_I still recurses down the comb it inverts.
+leaf trades places with it, so the leaf goes in by a single insert; the
+reassociation law f_C(C(x,y), z) = f_C(x, f_C(y, z)) holds of the result
+all the same, it is just not the route taken.  insert places a non-C leaf
+at its ordered position in a comb, collapsing equal neighbours under
+idempotence or cancelling them to the absorber under nilpotence.  delete
+removes one occurrence of a leaf, exploiting sortedness for early failure;
+insert_inv tries delete first and only then inserts the re-inverted leaf.
+The inverse function f_I pushes inversion to the leaves, reversing the
+comb.  merge, insert, leaf removal and f_I walk a spine in a loop, so they
+cap no comb's length at Python's recursion limit.
 
 The scheme above is written for right combs, whose exposed leaf is the first
 argument.  Both orientations run the same code through one view,
@@ -49,8 +50,9 @@ Instead the collapse result re-enters the construction function, which
 re-places the absorber correctly.
 
 Normalizing a whole term is the bottom-up fold of the construction
-functions; the fold recurses along the input's nesting depth, so extremely
-deep inputs (around a thousand nested applications) are out of scope.
+functions.  It runs over explicit stacks and calls them in the order a
+recursive fold would, so no nesting depth of the input reaches Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .terms import (
     Term,
     Var,
     compare,
-    is_ground,
+    root_sort,
     sort_of,
 )
 from .theory import (
@@ -346,18 +348,8 @@ def _construct_ac(ctor, entry, args, fam, table):
     if _is_c(x, ctor):
         if _is_c(rest, ctor):
             return _merge(ctor, entry, x, rest, fam, table)
-        # f_C(C(x1, C(x2, ... xn)), z) = f_C(x1, f_C(x2, ... f_C(xn, z))):
-        # a comb meets a leaf one leaf at a time, the innermost leaf first
-        spine = []
-        while True:
-            leaf, x = _split(x, s)
-            spine.append(leaf)
-            if not _is_c(x, ctor):
-                break
-        rest = construct(ctor, (x, rest)[::s], fam, table)
-        while spine:
-            rest = construct(ctor, (spine.pop(), rest)[::s], fam, table)
-        return rest
+        # f_C(C(x, y), z) = f_C(z, C(x, y)): a comb meets a leaf by one insertion
+        x, rest = rest, x
     if entry.inverse is not None:
         return insert_inv(
             ctor, inverse_cf(entry.inverse, x, fam, table), rest, fam, table
@@ -563,16 +555,24 @@ def inverse_cf(inv_ctor, v, fam, table=None):
         return v
     if _is_c(v, inv_ctor):
         return _split(v, 1)[0]
-    if _is_c(v, carrier):
-        x, y = _split(v, 1)
-        return construct(
-            carrier,
-            (inverse_cf(inv_ctor, y, fam, table), inverse_cf(inv_ctor, x, fam, table)),
-            fam,
-            table,
-        )
-    result = _make(inv_ctor, (v,))
-    return table.canonical(result) if table is not None else result
+    if not _is_c(v, carrier):
+        result = _make(inv_ctor, (v,))
+        return table.canonical(result) if table is not None else result
+    # f_I(C(x, y)) = f_C(f_I(y), f_I(x)), folded with a stack of pending
+    # nodes: y is inverted before x, and each f_C runs once both are done
+    done = []
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        if u is None:  # both inverted arguments of a C node are on done
+            x_inv = done.pop()
+            done.append(construct(carrier, (done.pop(), x_inv), fam, table))
+        elif _is_c(u, carrier):
+            x, y = _split(u, 1)
+            todo += (None, x, y)
+        else:
+            done.append(inverse_cf(inv_ctor, u, fam, table))
+    return done[0]
 # --- end shared AC block ---
 
 
@@ -580,14 +580,35 @@ def normalize(
     t: Term, fam: CompiledFamily, table: Optional[HashConsTable] = None
 ) -> Term:
     """Bottom-up fold of the construction functions over a ground term."""
-    if not is_ground(t):
-        raise SortError("normalize takes ground terms")
-    if sort_of(fam.sig, t) is None:
+    sig = fam.sig
+    # One walk checks the term and lists its nodes in preorder, arguments
+    # pushed left to right, so that the reversed list is the left-to-right
+    # postorder in which a recursive fold would construct.  A variable
+    # anywhere outranks an ill-sorted node.
+    well_sorted = root_sort(sig, t) is not None
+    order = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            raise SortError("normalize takes ground terms")
+        order.append(u)
+        if isinstance(u, App):
+            stack += u.args
+            if well_sorted:
+                for a, s in zip(u.args, sig.declaration(u.ctor).arg_sorts):
+                    if root_sort(sig, a) != s:
+                        well_sorted = False
+    if not well_sorted:
         raise SortError(f"ill-sorted term: {t}")
 
-    def go(s: Term) -> Term:
-        if isinstance(s, App):
-            return construct(s.ctor, tuple(go(a) for a in s.args), fam, table)
-        return table.canonical(s) if table is not None else s
-
-    return go(t)
+    done: list[Term] = []  # values of the finished subterms, leftmost first
+    for u in reversed(order):
+        if isinstance(u, App):
+            k = len(done) - len(u.args)
+            args = tuple(done[k:])
+            del done[k:]
+            done.append(construct(u.ctor, args, fam, table))
+        else:
+            done.append(table.canonical(u) if table is not None else u)
+    return done[0]

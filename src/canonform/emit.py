@@ -80,7 +80,9 @@ def emit_report(fam: CompiledFamily) -> str:
                 out.append(_line(name, (x, e), (), "x"))
             # The builder's comb view: (a, b)[::s] puts an (exposed side,
             # rest) pair in argument order.  A left comb's lines mirror the
-            # right comb's, variable names included.
+            # right comb's, variable names included.  The reassociation
+            # clause is a law f_C satisfies, so it is listed although the
+            # builder takes a comb meeting a leaf straight to insert.
             s = entry.sign
             leaf, inner, rest = ("x", "y", "z")[::s]
             nested = App(name, (_v(leaf, sig), _v(inner, sig))[::s])

@@ -200,8 +200,9 @@ def compare(sig: Signature, t: Term, u: Term) -> int:
     return EQ
 
 
-def sort_of(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
-    """Sort of t, or None if t is not well-sorted (variables allowed in patterns)."""
+def root_sort(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
+    """Sort of t judged at its root alone, an App's arguments unchecked; None
+    if the root is ill-sorted (variables allowed in patterns)."""
     if isinstance(t, Var):
         if not pattern:
             return None
@@ -213,15 +214,25 @@ def sort_of(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
             if not isinstance(t.value, bool):
                 return t.ptype
         return None
-    if t.ctor not in sig:
+    if t.ctor not in sig or len(t.args) != sig.declaration(t.ctor).arity:
         return None
-    decl = sig.declaration(t.ctor)
-    if len(t.args) != decl.arity:
+    return sig.rdt_sort
+
+
+def sort_of(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
+    """Sort of t, or None if t is not well-sorted (variables allowed in patterns)."""
+    result = root_sort(sig, t, pattern)
+    if result is None:
         return None
-    for a, s in zip(t.args, decl.arg_sorts):
-        if sort_of(sig, a, pattern) != s:
-            return None
-    return decl.result_sort
+    stack = [t]  # nodes whose roots are well-sorted, arguments not yet checked
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App):
+            for a, s in zip(u.args, sig.declaration(u.ctor).arg_sorts):
+                if root_sort(sig, a, pattern) != s:
+                    return None
+                stack.append(a)
+    return result
 
 
 def well_sorted(sig: Signature, t: Term, pattern: bool = False) -> bool:
@@ -229,10 +240,13 @@ def well_sorted(sig: Signature, t: Term, pattern: bool = False) -> bool:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, App):
-        return all(is_ground(a) for a in t.args)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            return False
+        if isinstance(u, App):
+            stack += u.args
     return True
 
 
@@ -336,12 +350,22 @@ def _escape(s: str) -> str:
 
 def format_term(t: Term) -> str:
     """Concrete syntax: Name, Name(t1, ..., tn), integer and "string" literals."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Prim):
-        if t.ptype == "int":
-            return str(t.value)
-        return f'"{_escape(t.value)}"'
-    if not t.args:
-        return t.ctor
-    return f"{t.ctor}({', '.join(format_term(a) for a in t.args)})"
+    out: list[str] = []
+    stack: list = [t]  # terms still to print and the punctuation between them
+    while stack:
+        u = stack.pop()
+        if type(u) is str:
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(u.name)
+        elif isinstance(u, Prim):
+            out.append(str(u.value) if u.ptype == "int" else f'"{_escape(u.value)}"')
+        elif not u.args:
+            out.append(u.ctor)
+        else:
+            out.append(u.ctor + "(")
+            stack.append(")")
+            for a in u.args[:0:-1]:
+                stack += (a, ", ")
+            stack.append(u.args[0])
+    return "".join(out)

@@ -8,7 +8,9 @@ in the examples were worked out from the group axioms by hand and frozen.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -32,15 +34,19 @@ from canonform import (
     construct,
     delete,
     enumerate_ground,
+    format_term,
     insert,
     insert_inv,
     inverse_cf,
     is_ac_normal,
+    is_ground,
     leaves,
     linearize,
     normalize,
     parse_definition,
+    sort_of,
 )
+from canonform import builder
 from canonform.emit import emit_code
 
 from conftest import load, terms
@@ -329,6 +335,142 @@ def test_large_sums_and_combs_need_no_deep_recursion():
     last = s_power(8)
     assert leaves("P", insert("P", last, big, fam)) == ordered + [last]
     assert leaves("P", delete("P", ordered[-1], big, fam)) == ordered[:-1]
+
+
+# --- comb + leaf, long chains and deep terms ------------------------------------
+
+SYN_DEFS = pathlib.Path(__file__).parent.parent / "perfbench" / "defs"
+
+
+def _syn_family(name):
+    sig, spec = parse_definition((SYN_DEFS / f"{name}.rdt").read_text())
+    return sig, compile_family(sig, spec)
+
+
+def _s_power(k):
+    t = App("L")
+    for _ in range(k):
+        t = App("S", (t,))
+    return t
+
+
+def _sum(shape, parts, rng=None):
+    """Fold leaves into one P-sum: a left or right chain, balanced, or a random tree."""
+    parts = list(parts)
+    if shape == "left":
+        return functools.reduce(lambda t, leaf: App("P", (t, leaf)), parts)
+    if shape == "right":
+        return functools.reduce(lambda t, leaf: App("P", (leaf, t)), reversed(parts))
+    while len(parts) > 1:
+        if shape == "balanced":
+            parts = [App("P", tuple(parts[i : i + 2])) if i + 1 < len(parts) else parts[i]
+                     for i in range(0, len(parts), 2)]
+        else:
+            i = rng.randrange(len(parts) - 1)
+            parts[i : i + 2] = [App("P", (parts[i], parts[i + 1]))]
+    return parts[0]
+
+
+def test_a_comb_meets_a_leaf_by_one_insert(monkeypatch):
+    """Each step of a left chain brings one leaf to the comb built so far;
+    by commutativity that is one builder.insert, not one per leaf of the comb."""
+    sig, fam = _syn_family("syn_ac")
+    real_insert = builder.insert
+    calls = []
+
+    def counting_insert(*args):
+        calls.append(args)
+        return real_insert(*args)
+
+    monkeypatch.setattr(builder, "insert", counting_insert)
+    rng = random.Random(12)
+    parts = [_s_power(rng.randrange(20)) for _ in range(200)]
+    nf = normalize(_sum("left", parts), fam)
+    assert len(calls) <= 200
+    assert leaves("P", nf) == sorted(parts, key=functools.cmp_to_key(lambda a, b: compare(sig, a, b)))
+
+
+@pytest.mark.parametrize(
+    "name", ["syn_ac", "syn_group", "syn_left_group", "syn_idem", "syn_nil"]
+)
+def test_every_shape_of_a_sum_normalizes_to_one_value(name):
+    """Balanced, right, left and random sums of the same leaves reach one
+    AC-normal value, in the library and in the generated module alike."""
+    sig, fam = _syn_family(name)
+    orientation = fam.orientations()
+    ns: dict = {}
+    exec(emit_code(fam), ns)
+    rng = random.Random(name)
+    for n in (2, 7, 40, 90):
+        pool = [_s_power(k) for k in rng.sample(range(20), 4)]
+        if "N" in sig:
+            pool += [App("N", (t,)) for t in pool] + [App("Z")]
+        if "B" in sig:
+            pool.append(App("B"))
+        parts = [rng.choice(pool) for _ in range(n)]
+        values = {
+            shape: normalize(_sum(shape, parts, rng), fam)
+            for shape in ("balanced", "right", "left", "random")
+        }
+        nf = values["balanced"]
+        assert is_ac_normal(sig, nf, orientation), (n, parts)
+        for shape, v in values.items():
+            assert v == nf, (shape, n, parts)
+        shuffled = rng.sample(parts, n)
+        assert ns["normalize"](_to_tuple(_sum("random", shuffled, rng))) == _to_tuple(nf)
+
+
+def test_deep_terms_and_long_chains_need_no_deep_recursion():
+    """Under the default recursion limit: a 100,000-deep term is checked,
+    normalized and printed, and so are 5,000-leaf left and right chains.  In
+    the chains' leaf order each step inserts at the comb's exposed end, so
+    the test times the walks; a shuffled chain pays a quadratic insertion
+    cost instead.  Results are read with leaves or as text: == on terms recurses."""
+    sig, fam = _syn_family("syn_ac")
+    n = 100_000
+    deep = _s_power(n)
+    assert is_ground(deep) and sort_of(sig, deep) == "t"
+    assert format_term(normalize(deep, fam)) == "S(" * n + "L" + ")" * n
+
+    parts = [_s_power(k * 20 // 5000) for k in range(5000)]
+    text = "".join(f"P({format_term(leaf)}, " for leaf in parts[:-1])
+    text += format_term(parts[-1]) + ")" * (len(parts) - 1)
+    for chain in (_sum("left", parts[::-1]), _sum("right", parts)):
+        assert is_ground(chain) and sort_of(sig, chain) == "t"
+        nf = normalize(chain, fam)
+        assert leaves("P", nf) == parts
+        assert format_term(nf) == text
+
+
+def test_inverting_long_group_combs_needs_no_deep_recursion():
+    """f_I folds a comb with a loop: N of a 5,000-leaf comb is 5,000 inverted
+    leaves, and N of a 5,000-leaf sum normalizes under the default recursion
+    limit and cancels the sum."""
+    sig, fam = _syn_family("syn_group")
+    parts = [_s_power(k * 20 // 5000) for k in range(5000)]
+    inverted = construct("N", (build_comb("P", parts),), fam)
+    assert leaves("P", inverted) == [App("N", (leaf,)) for leaf in parts]
+
+    rng = random.Random(5)
+    pool = [_s_power(3), _s_power(16)]
+    pool += [App("N", (t,)) for t in pool] + [App("Z")]
+    chain = _sum("right", [rng.choice(pool) for _ in range(5000)])
+    nf = normalize(chain, fam)
+    inv = normalize(App("N", (chain,)), fam)
+    assert is_ac_normal(sig, inv, {"P": "right"})
+    assert construct("P", (inv, nf), fam) == App("Z")
+
+
+def test_normalize_reports_a_variable_before_an_ill_sorted_node():
+    sig, spec = parse_definition("type cell = Nil | Cons(int, cell)")
+    cell = compile_family(sig, spec)
+    ill = App("Cons", (App("Nil"), App("Nil")))
+    with pytest.raises(SortError, match="ill-sorted term: Cons"):
+        normalize(ill, cell)
+    with pytest.raises(SortError, match="ground terms"):
+        normalize(App("Cons", (Prim("int", 1), App("Cons", (ill, Var("x", "cell"))))), cell)
+    with pytest.raises(SortError, match="ground terms"):
+        normalize(App("Cons", (Var("n", "int"), App("Nope"))), cell)
 
 
 def test_delete_examples(exp):
