@@ -52,11 +52,13 @@ re-places the absorber correctly.
 Normalizing a whole term is the bottom-up fold of the construction
 functions.  It runs over explicit stacks and calls them in the order a
 recursive fold would, so no nesting depth of the input reaches Python's
-recursion limit.
+recursion limit.  A free node whose arguments are already normal is its own
+value, so without a hash-consing table the fold keeps it as it is.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -579,7 +581,14 @@ def inverse_cf(inv_ctor, v, fam, table=None):
 def normalize(
     t: Term, fam: CompiledFamily, table: Optional[HashConsTable] = None
 ) -> Term:
-    """Bottom-up fold of the construction functions over a ground term."""
+    """Bottom-up fold of the construction functions over a ground term.
+
+    Without a table, a node whose constructor is free and whose arguments
+    all come back as the very objects they were is already its own value
+    (f_C(args) = C(args)), so the fold keeps that node and makes no
+    construct call for it: a free-only term is returned as it is.  With a
+    table every node goes through construct, which interns it.
+    """
     sig = fam.sig
     # One walk checks the term and lists its nodes in preorder, arguments
     # pushed left to right, so that the reversed list is the left-to-right
@@ -602,13 +611,21 @@ def normalize(
     if not well_sorted:
         raise SortError(f"ill-sorted term: {t}")
 
+    entries = fam.entries
     done: list[Term] = []  # values of the finished subterms, leftmost first
     for u in reversed(order):
         if isinstance(u, App):
             k = len(done) - len(u.args)
             args = tuple(done[k:])
             del done[k:]
-            done.append(construct(u.ctor, args, fam, table))
+            if (
+                table is None
+                and type(entries[u.ctor]) is FreeEntry
+                and all(map(operator.is_, args, u.args))
+            ):
+                done.append(u)  # f_C(args) = C(args), and u is C(args) already
+            else:
+                done.append(construct(u.ctor, args, fam, table))
         else:
             done.append(table.canonical(u) if table is not None else u)
     return done[0]

@@ -123,8 +123,9 @@ def _tuple_term(t: Term):
 # The generated module: a tuple-world prelude, then the builder's own AC
 # functions.  Terms are tuples, so the four names through which those
 # functions touch terms get tuple versions here, compare takes CTOR_INDEX as
-# its signature, and entries are attribute records like the builder's.  The
-# clause and AC parts are left out of modules whose family has no such entry.
+# its signature and walks both terms in one loop like terms.compare, and
+# entries are attribute records like the builder's.  The clause and AC parts
+# are left out of modules whose family has no such entry.
 _PRELUDE = '''
 class Record:
     def __init__(self, **fields):
@@ -148,18 +149,31 @@ class InverseEntry(Record):
 
 
 def compare(sig, t, u):
-    if type(t) is not tuple or type(u) is not tuple:
-        # constants sort first, integers before strings
-        a, b = (type(t) is tuple, type(t) is str, t), (type(u) is tuple, type(u) is str, u)
-        return (a > b) - (a < b)
-    a, b = sig[t[0]], sig[u[0]]
-    if a != b:
-        return (a > b) - (a < b)
-    for x, y in zip(t[1:], u[1:]):
-        c = compare(sig, x, y)
-        if c:
-            return c
-    return 0
+    pending = []  # argument pairs still to compare, the next one last
+    while True:
+        if type(t) is not tuple or type(u) is not tuple:
+            # constants sort first, integers before strings
+            a, b = (type(t) is tuple, type(t) is str, t), (type(u) is tuple, type(u) is str, u)
+            if a != b:
+                return (a > b) - (a < b)
+        else:
+            a, b = sig[t[0]], sig[u[0]]
+            if a != b:
+                return (a > b) - (a < b)
+            n = len(t)
+            if n != len(u):
+                n = min(n, len(u))
+            if n == 2:  # one argument: descend without a stack entry
+                t, u = t[1], u[1]
+                continue
+            if n > 2:
+                for k in range(n - 1, 1, -1):
+                    pending.append((t[k], u[k]))
+                t, u = t[1], u[1]
+                continue
+        if not pending:
+            return 0
+        t, u = pending.pop()
 
 
 def construct(ctor, args, fam, table=None):

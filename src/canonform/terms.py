@@ -177,27 +177,54 @@ def compare(sig: Signature, t: Term, u: Term) -> int:
 
     Primitive constants sort before applications; primitives by type name then
     value, applications by declaration index then arguments left to right.
+
+    One loop walks both terms in preorder.  It descends into the first
+    argument pair at once and keeps the later pairs on a stack, so a unary
+    chain such as S(S(...(L))) takes no stack entries and no depth of either
+    term reaches Python's recursion limit.  Each pair is judged in a fixed
+    order: identical objects are equal, a variable raises SortError, a
+    constant sorts before an application, constants go by type name then
+    value, and applications by declaration index (an unknown constructor
+    raises SignatureError) and then by their arguments.
     """
-    if t is u:
-        return EQ
-    if isinstance(t, Var) or isinstance(u, Var):
-        raise SortError("cannot order terms containing variables")
-    tprim = isinstance(t, Prim)
-    uprim = isinstance(u, Prim)
-    if tprim != uprim:
-        return LT if tprim else GT
-    if tprim:
-        if t.ptype != u.ptype:
-            return _cmp(t.ptype, u.ptype)
-        return _cmp(t.value, u.value)
-    c = _cmp(sig.index(t.ctor), sig.index(u.ctor))
-    if c != EQ:
-        return c
-    for a, b in zip(t.args, u.args):
-        c = compare(sig, a, b)
-        if c != EQ:
-            return c
-    return EQ
+    index = sig._index
+    pending = []  # argument pairs still to compare, the next one last
+    while True:
+        while t is not u:
+            if type(t) is not App or type(u) is not App:
+                if isinstance(t, Var) or isinstance(u, Var):
+                    raise SortError("cannot order terms containing variables")
+                tprim = isinstance(t, Prim)
+                if tprim != isinstance(u, Prim):
+                    return LT if tprim else GT
+                if tprim:
+                    if t.ptype != u.ptype:
+                        return _cmp(t.ptype, u.ptype)
+                    c = _cmp(t.value, u.value)
+                    if c != EQ:
+                        return c
+                    break
+            try:
+                i, j = index[t.ctor], index[u.ctor]
+            except KeyError:
+                i, j = sig.index(t.ctor), sig.index(u.ctor)  # raises SignatureError
+            if i != j:
+                return LT if i < j else GT
+            targs, uargs = t.args, u.args
+            n = len(targs)
+            if n != len(uargs):
+                n = min(n, len(uargs))  # ill-sorted: compare the common prefix
+            if n == 1:
+                t, u = targs[0], uargs[0]
+            elif n:
+                for k in range(n - 1, 0, -1):
+                    pending.append((targs[k], uargs[k]))
+                t, u = targs[0], uargs[0]
+            else:
+                break
+        if not pending:
+            return EQ
+        t, u = pending.pop()
 
 
 def root_sort(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
@@ -252,18 +279,27 @@ def is_ground(t: Term) -> bool:
 
 def size(t: Term) -> int:
     """Node count; primitive constants and variables count one."""
-    if isinstance(t, App):
-        return 1 + sum(size(a) for a in t.args)
-    return 1
+    n = 0
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        n += 1
+        if isinstance(u, App):
+            stack += u.args
+    return n
 
 
 def positions(t: Term) -> Iterator[Position]:
     """All positions of t in preorder, the root being the empty tuple."""
-    yield ()
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            for p in positions(a):
-                yield (i,) + p
+    stack = [((), t)]  # (position, subterm), the next one last
+    while stack:
+        p, u = stack.pop()
+        yield p
+        if isinstance(u, App):
+            i = len(u.args)
+            while i:  # the first argument goes on last, to come off first
+                stack.append((p + (i,), u.args[i - 1]))
+                i -= 1
 
 
 def subterm_at(t: Term, pos: Position) -> Term:

@@ -8,7 +8,9 @@ import pathlib
 import pytest
 
 from canonform import (
+    App,
     CompiledFamily,
+    Prim,
     Signature,
     TheorySpec,
     compile_family,
@@ -32,6 +34,16 @@ def terms(name: str, max_size: int):
     """All ground terms of the fixture's data type up to max_size, cached."""
     sig, _, _ = load(name)
     return tuple(enumerate_ground(sig, sig.rdt_sort, max_size))
+
+
+BAG = "type bag = I(int) | S(string) | U(bag, bag)"
+
+
+def bag_universe() -> list:
+    """Constants of both primitive types, alone and under BAG's constructors."""
+    prims = [Prim("int", v) for v in (-2, 0, 7)] + [Prim("string", v) for v in ("", "B", "a", "ab")]
+    leaves = [App("I" if p.ptype == "int" else "S", (p,)) for p in prims]
+    return prims + leaves + [App("U", (a, b)) for a in leaves[:4] for b in leaves[2:]]
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from canonform import (
     App,
     CompiledClause,
+    HashConsTable,
     Prim,
     RewriteRule,
     SignatureError,
@@ -459,6 +460,35 @@ def test_inverting_long_group_combs_needs_no_deep_recursion():
     inv = normalize(App("N", (chain,)), fam)
     assert is_ac_normal(sig, inv, {"P": "right"})
     assert construct("P", (inv, nf), fam) == App("Z")
+
+
+def test_normalize_keeps_free_nodes_that_are_already_normal(monkeypatch):
+    """Without a table a free node whose arguments come back unchanged is its
+    own value: normalize returns the input objects and makes no construct
+    call for them.  With a table the result is still the table's object."""
+    sig, fam = _syn_family("syn_ac")
+    real_construct = builder.construct
+    calls = []
+
+    def counting_construct(ctor, *args):
+        calls.append(ctor)
+        return real_construct(ctor, *args)
+
+    monkeypatch.setattr(builder, "construct", counting_construct)
+    t = _s_power(50)
+    assert normalize(t, fam) is t
+    assert calls == []
+
+    a, b = _s_power(7), _s_power(3)
+    nf = normalize(App("P", (a, b)), fam)
+    assert nf == App("P", (b, a))
+    assert nf.args[0] is b and nf.args[1] is a
+    assert calls == ["P"]
+
+    table = HashConsTable(sig)
+    shared = normalize(t, fam, table)
+    assert shared == t and shared is table.canonical(_s_power(50))
+    assert normalize(_s_power(50), fam, table) is shared
 
 
 def test_normalize_reports_a_variable_before_an_ill_sorted_node():

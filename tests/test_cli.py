@@ -107,6 +107,15 @@ def test_norm_rejects_bad_expressions(capsys):
     assert "error[variable-in-ground-term]" in err
 
 
+def test_norm_of_a_sum_of_deep_leaves(capsys):
+    """Two 1,500-deep leaves meet in compare when the sum is built; that
+    walk, like parsing and printing, needs no deep recursion."""
+    syn_ac = pathlib.Path(__file__).parent.parent / "perfbench" / "defs" / "syn_ac.rdt"
+    leaf = "S(" * 1500 + "L" + ")" * 1500
+    code, out, err = run(capsys, "norm", syn_ac, "-e", f"P({leaf}, {leaf})")
+    assert (code, out, err) == (0, f"P({leaf}, {leaf})\n", "")
+
+
 # --- validate ----------------------------------------------------------------------
 
 

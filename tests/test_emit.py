@@ -26,7 +26,7 @@ from canonform import (
 )
 from canonform.emit import emit_code, emit_report
 
-from conftest import load, terms
+from conftest import BAG, bag_universe, load, terms
 
 
 def report_lines(name: str) -> list[str]:
@@ -223,3 +223,44 @@ def test_generated_compare_orders_constants_like_the_library():
 
     for u, v in itertools.product(values, repeat=2):
         assert ns["compare"](ns["CTOR_INDEX"], u, v) == compare(sig, term(u), term(v)), (u, v)
+
+
+@pytest.mark.parametrize("name", ["exp", "vec", "aci", "bag"])
+def test_generated_compare_agrees_with_the_library_on_every_pair(name):
+    """The pairs the library compare is checked on against its recursive
+    reference: every pair of terms of size <= 5, and int/string constants
+    alone and under constructors."""
+    if name == "bag":
+        sig, spec = parse_definition(BAG)
+        fam = compile_family(sig, spec)
+        universe = bag_universe()
+    else:
+        sig, _, fam = load(name)
+        universe = terms(name, 5)
+    ns = exec_module(fam)
+    gen_compare, index = ns["compare"], ns["CTOR_INDEX"]
+    tuples = [to_tuple(t) for t in universe]
+    for t, tt in zip(universe, tuples):
+        for u, ut in zip(universe, tuples):
+            assert gen_compare(index, tt, ut) == compare(sig, t, u), (t, u)
+
+
+def test_generated_compare_walks_deep_chains_without_recursion():
+    """Two 100,000-deep S chains, equal or differing at the bottom, under the
+    default recursion limit, alone and as the arguments of P."""
+    sig, spec = parse_definition("type t = L | S(t) | P(t, t)\nwith P: associative, commutative")
+    ns = exec_module(compile_family(sig, spec))
+    gen_compare, index = ns["compare"], ns["CTOR_INDEX"]
+
+    def chain(n, bottom=("L",)):
+        t = bottom
+        for _ in range(n):
+            t = ("S", t)
+        return t
+
+    n = 100_000
+    a, b, c = chain(n), chain(n), chain(n, ("P", ("L",), ("L",)))
+    assert gen_compare(index, a, b) == 0
+    assert gen_compare(index, a, c) == -1 and gen_compare(index, c, a) == 1
+    assert gen_compare(index, ("P", a, a), ("P", b, c)) == -1
+    assert gen_compare(index, ("P", a, c), ("P", b, b)) == 1

@@ -32,6 +32,7 @@ from canonform import (
     enumerate_ground,
     format_term,
     is_ground,
+    parse_definition,
     parse_ground_term,
     positions,
     replace_at,
@@ -41,7 +42,7 @@ from canonform import (
     well_sorted,
 )
 
-from conftest import load, terms
+from conftest import BAG, FIXTURES, bag_universe, load, terms
 
 
 # --- reference model -------------------------------------------------------
@@ -71,6 +72,58 @@ def counts_by_size(arities: list[int], max_size: int) -> list[int]:
 # Frozen: computed by counts_by_size([0, 0, 1, 2], 9) — the exp signature
 # has two constants, one unary and one binary constructor.
 EXP_COUNTS = [2, 2, 6, 14, 42, 122, 382, 1206, 3922]
+
+
+def reference_compare(sig, t, u):
+    """terms.compare as a plain recursion, the order the loop must keep."""
+    if t is u:
+        return EQ
+    if isinstance(t, Var) or isinstance(u, Var):
+        raise SortError("cannot order terms containing variables")
+    tprim, uprim = isinstance(t, Prim), isinstance(u, Prim)
+    if tprim != uprim:
+        return LT if tprim else GT
+    if tprim:
+        if t.ptype != u.ptype:
+            return (t.ptype > u.ptype) - (t.ptype < u.ptype)
+        return (t.value > u.value) - (t.value < u.value)
+    i, j = sig.index(t.ctor), sig.index(u.ctor)
+    if i != j:
+        return (i > j) - (i < j)
+    for a, b in zip(t.args, u.args):
+        c = reference_compare(sig, a, b)
+        if c != EQ:
+            return c
+    return EQ
+
+
+def reference_size(t):
+    return 1 + sum(reference_size(a) for a in t.args) if isinstance(t, App) else 1
+
+
+def reference_positions(t):
+    yield ()
+    if isinstance(t, App):
+        for i, a in enumerate(t.args, start=1):
+            for p in reference_positions(a):
+                yield (i,) + p
+
+
+def rebuilt(t):
+    """An equal copy of t that shares no node with it."""
+    if isinstance(t, App):
+        return App(t.ctor, tuple(map(rebuilt, t.args)))
+    return Prim(t.ptype, t.value)
+
+
+def s_chain(n, bottom=App("L")):
+    t = bottom
+    for _ in range(n):
+        t = App("S", (t,))
+    return t
+
+
+SYN = Signature("t", [("L", []), ("S", ["t"]), ("P", ["t", "t"])])
 
 
 ZERO, ONE = App("Zero"), App("One")
@@ -178,6 +231,71 @@ def test_compare_eq_iff_structural(exp_sig, data):
     assert (compare(exp_sig, t, u) == EQ) == (t == u)
 
 
+@pytest.mark.parametrize("name", ["exp", "vec", "aci", "bag"])
+def test_compare_agrees_with_the_recursive_reference(name):
+    """Every pair of terms of size <= 5 (and the int/string pairs of bag),
+    each against the other term and against an equal copy of it."""
+    if name == "bag":
+        sig, universe = parse_definition(BAG)[0], bag_universe()
+    else:
+        sig, universe = load(name)[0], terms(name, 5)
+    others = list(universe) + [rebuilt(u) for u in universe]
+    for t in universe:
+        for u in others:
+            assert compare(sig, t, u) == reference_compare(sig, t, u), (t, u)
+
+
+def test_compare_raises_where_the_recursive_reference_does(exp_sig):
+    x = Var("x", "exp")
+    nope = App("Nope")
+    for t, u in [
+        (x, ZERO),
+        (ZERO, x),
+        (plus(ONE, x), plus(ONE, ONE)),  # a variable behind an equal first argument
+        (opp(x), opp(Var("y", "exp"))),
+    ]:
+        for a, b in ((t, u), (u, t)):
+            with pytest.raises(SortError, match="variables"):
+                compare(exp_sig, a, b)
+            with pytest.raises(SortError, match="variables"):
+                reference_compare(exp_sig, a, b)
+    for t, u in [
+        (nope, ZERO),
+        (ZERO, nope),
+        (nope, App("Nope")),  # the same unknown name on both sides
+        (opp(nope), opp(App("Nope"))),
+        (plus(ONE, nope), plus(ONE, ONE)),
+    ]:
+        with pytest.raises(SignatureError, match="unknown constructor 'Nope'"):
+            compare(exp_sig, t, u)
+        with pytest.raises(SignatureError, match="unknown constructor 'Nope'"):
+            reference_compare(exp_sig, t, u)
+    # checks run in order, so an earlier verdict wins over a later fault; an
+    # ill-sorted pair of arities compares its common prefix
+    for t, u in [
+        (plus(ZERO, x), plus(ONE, ONE)),
+        (plus(ZERO, nope), plus(ONE, ONE)),
+        (nope, nope),
+        (App("Plus", (ONE,)), plus(ONE, x)),
+        (App("Plus", (ONE,)), plus(ZERO, ONE)),
+    ]:
+        for a, b in ((t, u), (u, t)):
+            assert compare(exp_sig, a, b) == reference_compare(exp_sig, a, b)
+
+
+def test_compare_walks_deep_chains_without_recursion():
+    """Two 100,000-deep S chains, equal or differing at the bottom, under the
+    default recursion limit; the chains also sit under P, where the second
+    argument pair waits on the loop's stack."""
+    n = 100_000
+    a, b = s_chain(n), s_chain(n)
+    c = s_chain(n, App("P", (App("L"), App("L"))))
+    assert compare(SYN, a, b) == EQ
+    assert compare(SYN, a, c) == LT and compare(SYN, c, a) == GT
+    assert compare(SYN, App("P", (a, a)), App("P", (b, c))) == LT
+    assert compare(SYN, App("P", (a, c)), App("P", (b, b))) == GT
+
+
 # --- positions -------------------------------------------------------------
 
 
@@ -203,6 +321,26 @@ def test_position_round_trip(exp_sig):
         assert len(ps) == size(t)
         for p in ps:
             assert replace_at(exp_sig, t, p, subterm_at(t, p)) == t
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.rdt")), ids=lambda p: p.stem)
+def test_size_and_positions_agree_with_the_recursive_walks(path):
+    sig, _ = parse_definition(path.read_text())
+    for t in enumerate_ground(sig, sig.rdt_sort, 6):
+        assert size(t) == reference_size(t)
+        assert list(positions(t)) == list(reference_positions(t))  # preorder, root first
+
+
+def test_size_and_positions_walk_deep_terms_without_recursion():
+    """Under the default recursion limit.  A full pass of positions over an
+    n-deep chain yields n(n+1)/2 indices in all, so only its first few
+    thousand positions are read; each one is already deeper than the limit
+    a recursive generator allows."""
+    n = 100_000
+    deep = s_chain(n)
+    assert size(deep) == n + 1
+    first = list(itertools.islice(positions(deep), 3000))
+    assert first == [(1,) * k for k in range(3000)]
 
 
 # --- enumeration -----------------------------------------------------------
