@@ -38,8 +38,10 @@ exposed.  acnf.comb_sign derives it from the orientation, for this module
 and the AC-normal form checks alike.
 
 The AC functions, from _construct_ac to inverse_cf, are the only copy of
-the scheme: emit_code prints them verbatim into every generated module
-whose family has an AC constructor, and there they run on tuples.
+the scheme, and _construct_entry, _match and _eval_rhs are the only copy of
+the dispatch on entry kinds and of the clause matcher: emit_code prints
+both blocks verbatim into generated modules (the AC block only when the
+family has an AC constructor), and there they run on tuples.
 
 Leaf removal (shared by delete and the nilpotent collapse) distinguishes
 "the removed leaf was the whole value" from "a smaller comb remains": a
@@ -164,11 +166,16 @@ class CompiledFamily:
         return self.classification.orientations()
 
 
-def linearize(pattern: Term) -> tuple[Term, tuple[tuple[str, str], ...]]:
+def linearize(
+    pattern: Term, first: Optional[dict[str, str]] = None
+) -> tuple[Term, tuple[tuple[str, str], ...]]:
     """Rename variables apart (v1, v2, ... in preorder); repeated source
-    variables become equality guards against their first occurrence."""
+    variables become equality guards against their first occurrence.
+
+    A dict passed as first receives each source variable's first fresh name.
+    """
     counter = [0]
-    first: dict[str, str] = {}
+    first = {} if first is None else first
     guard: list[tuple[str, str]] = []
 
     def walk(t: Term) -> Term:
@@ -207,18 +214,8 @@ def compile_rules(
     out: dict[str, list[CompiledClause]] = {}
     for rule in rules:
         validate_rule(sig, rule)
-        lin, guard = linearize(rule.lhs)
-        # recover the source-variable -> first-fresh-name mapping for the rhs
         first: dict[str, str] = {}
-
-        def pair(src: Term, renamed: Term) -> None:
-            if isinstance(src, Var):
-                first.setdefault(src.name, renamed.name)
-            elif isinstance(src, App):
-                for a, b in zip(src.args, renamed.args):
-                    pair(a, b)
-
-        pair(rule.lhs, lin)
+        lin, guard = linearize(rule.lhs, first)
         clause = CompiledClause(lin.args, guard, _rename_rhs(rule.rhs, first))
         out.setdefault(rule.lhs.ctor, []).append(clause)
     return {c: tuple(cls) for c, cls in out.items()}
@@ -254,37 +251,17 @@ def _is_c(t: Term, ctor: str) -> bool:
     return isinstance(t, App) and t.ctor == ctor
 
 
+def _ctor(t: Term) -> Optional[str]:
+    """t's constructor; None for a constant or a variable."""
+    return t.ctor if type(t) is App else None
+
+
 def _split(t: App, s: int) -> tuple[Term, ...]:
     """t's arguments in comb-view order (see Type2Entry.sign)."""
     return t.args[::s]
 
 
-_make = App  # the shared AC block builds C-headed values through this name
-
-
-def _match(pattern: Term, value: Term, binding: dict[str, Term]) -> bool:
-    if isinstance(pattern, Var):
-        binding[pattern.name] = value  # linear patterns never rebind
-        return True
-    if isinstance(pattern, Prim):
-        return pattern == value
-    if not isinstance(value, App) or value.ctor != pattern.ctor:
-        return False
-    return all(_match(p, v, binding) for p, v in zip(pattern.args, value.args))
-
-
-def _eval_rhs(
-    rhs: Term,
-    binding: dict[str, Term],
-    fam: CompiledFamily,
-    table: Optional[HashConsTable],
-) -> Term:
-    if isinstance(rhs, Var):
-        return binding[rhs.name]
-    if isinstance(rhs, Prim):
-        return table.canonical(rhs) if table is not None else rhs
-    args = tuple(_eval_rhs(a, binding, fam, table) for a in rhs.args)
-    return construct(rhs.ctor, args, fam, table)
+_make = App  # the shared blocks build values through this name
 
 
 def construct(
@@ -304,38 +281,61 @@ def construct(
     for a, s in zip(args, decl.arg_sorts):
         if _value_sort(sig, a) != s:
             raise SortError(f"ill-sorted argument for {ctor!r}: {a}")
-    entry = fam.entries[ctor]
-
-    if isinstance(entry, FreeEntry):
-        result = App(ctor, args)
-    elif isinstance(entry, Type1Entry):
-        result = None
-        for clause in entry.clauses:
-            binding: dict[str, Term] = {}
-            if all(_match(p, v, binding) for p, v in zip(clause.patterns, args)):
-                if all(
-                    compare(sig, binding[a], binding[b]) == 0
-                    for a, b in clause.guard
-                ):
-                    result = _eval_rhs(clause.rhs, binding, fam, table)
-                    break
-        if result is None:
-            result = App(ctor, args)  # implicit default clause
-    elif isinstance(entry, InverseEntry):
-        result = inverse_cf(ctor, args[0], fam, table)
-    else:
-        result = _construct_ac(ctor, entry, args, fam, table)
-
+    result = _construct_entry(ctor, fam.entries[ctor], args, fam, table)
     if table is not None:
         result = table.canonical(result)
     return result
 
 
-# emit_code prints the text between these markers into generated modules,
-# which bind the names it uses to tuple-world versions.  So the block has no
-# annotations and no imports (the word must not appear inside it), touches
-# terms only through _is_c, _split, _make and compare, and reads entries only
-# through their attributes.
+# emit_code prints the text between each pair of markers below into generated
+# modules, which bind the names it uses to tuple-world versions.  So the
+# blocks have no annotations and no imports (the word must not appear inside
+# them), touch terms only through _is_c, _ctor, _split, _make, compare and
+# type(t) is Var, and read entries only through their attributes and their
+# kind, type(entry).
+# --- begin shared engine block ---
+def _construct_entry(ctor, entry, args, fam, table):
+    """f_ctor on arguments of the right number and sorts, by entry kind."""
+    kind = type(entry)
+    if kind is Type2Entry:
+        return _construct_ac(ctor, entry, args, fam, table)
+    if kind is InverseEntry:
+        return inverse_cf(ctor, args[0], fam, table)
+    if kind is Type1Entry:
+        sig = fam.sig
+        for clause in entry.clauses:
+            binding = {}
+            if all(_match(p, v, binding) for p, v in zip(clause.patterns, args)) and all(
+                compare(sig, binding[a], binding[b]) == 0 for a, b in clause.guard
+            ):
+                return _eval_rhs(clause.rhs, binding, fam, table)
+    return _make(ctor, args)  # a free constructor, or the implicit default clause
+
+
+def _match(pattern, value, binding):
+    if type(pattern) is Var:
+        binding[pattern.name] = value  # linear patterns never rebind
+        return True
+    c = _ctor(pattern)
+    if c is None:
+        return pattern == value
+    if _ctor(value) != c:
+        return False
+    return all(_match(p, v, binding) for p, v in zip(_split(pattern, 1), _split(value, 1)))
+
+
+def _eval_rhs(rhs, binding, fam, table):
+    """A clause's right-hand side: each constructor in it is a construction call."""
+    if type(rhs) is Var:
+        return binding[rhs.name]
+    c = _ctor(rhs)
+    if c is None:
+        return table.canonical(rhs) if table is not None else rhs
+    args = tuple(_eval_rhs(a, binding, fam, table) for a in _split(rhs, 1))
+    return construct(c, args, fam, table)
+# --- end shared engine block ---
+
+
 # --- begin shared AC block ---
 def _construct_ac(ctor, entry, args, fam, table):
     a, b = args

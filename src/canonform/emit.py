@@ -5,9 +5,11 @@ Report lines follow one fixed shape so they can be diffed and grepped:
     f_C: <pattern> [when <guard>] -> <rhs>
 
 The code emitter writes a dependency-free module that embeds the compiled
-family as data and runs the builder's own AC functions on tuple-shaped
-terms: a short tuple-world prelude, then those functions printed verbatim
-from builder.py.  It is a convenience, not a stability contract.
+family as data and runs the builder's own construction engine on
+tuple-shaped terms: a short tuple-world prelude, then the dispatch on entry
+kinds, the clause matcher and (for a family with an AC constructor) the AC
+functions, printed verbatim from builder.py.  Only normalize and compare
+are written per world.  It is a convenience, not a stability contract.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import builder
-from .builder import (
-    CompiledFamily,
-    FreeEntry,
-    InverseEntry,
-    Type1Entry,
-    Type2Entry,
-)
+from .builder import CompiledFamily, FreeEntry, InverseEntry, Type1Entry
 from .terms import App, Prim, Signature, Term, Var, format_term
 
 
@@ -112,20 +108,27 @@ def _rhs_str(rhs: Term) -> str:
 # standalone code
 
 
-def _tuple_term(t: Term):
+def _term_code(t: Term) -> str:
+    """t as the expression of its tuple-world value; a variable is a Var record."""
     if isinstance(t, Var):
-        return ("?", t.name)
+        return f"Var({t.name!r})"
     if isinstance(t, Prim):
-        return t.value
-    return (t.ctor,) + tuple(_tuple_term(a) for a in t.args)
+        return repr(t.value)
+    return _tuple_code([repr(t.ctor)] + [_term_code(a) for a in t.args])
 
 
-# The generated module: a tuple-world prelude, then the builder's own AC
-# functions.  Terms are tuples, so the four names through which those
+def _tuple_code(items: list[str]) -> str:
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+# The generated module: a tuple-world prelude, then the builder's own engine
+# and AC functions.  Terms are tuples, so the names through which those
 # functions touch terms get tuple versions here, compare takes CTOR_INDEX as
 # its signature and walks both terms in one loop like terms.compare, and
-# entries are attribute records like the builder's.  The clause and AC parts
-# are left out of modules whose family has no such entry.
+# entries, clauses and pattern variables are attribute records like the
+# builder's.  The f_X functions and normalize call _construct_entry
+# directly, so a node costs no call more than the engine's own; construct,
+# the name the engine re-enters through, checks the arity first.
 _PRELUDE = '''
 class Record:
     def __init__(self, **fields):
@@ -146,6 +149,31 @@ class Type2Entry(Record):
 
 class InverseEntry(Record):
     pass
+
+
+class Var:
+    def __init__(self, name):
+        self.name = name
+
+
+class TheoryError(Exception):
+    pass
+
+
+def _is_c(t, C):
+    return type(t) is tuple and t[0] == C
+
+
+def _ctor(t):
+    return t[0] if type(t) is tuple else None
+
+
+def _split(t, s):
+    return t[1::s] if s > 0 else t[:0:-1]
+
+
+def _make(C, args):
+    return (C,) + args
 
 
 def compare(sig, t, u):
@@ -179,98 +207,47 @@ def compare(sig, t, u):
 def construct(ctor, args, fam, table=None):
     if len(args) != CTOR_ARITY[ctor]:
         raise ValueError(f"{ctor} expects {CTOR_ARITY[ctor]} arguments")
-    entry = fam.entries[ctor]
-    kind = type(entry)
-    if kind is Type2Entry:
-        return _construct_ac(ctor, entry, args, fam, table)
-    if kind is InverseEntry:
-        return inverse_cf(ctor, args[0], fam, table)
-    if kind is Type1Entry:
-        return _first_clause(ctor, entry, args, fam)
-    return (ctor,) + args
+    return _construct_entry(ctor, fam.entries[ctor], args, fam, table)
 
 
 def normalize(t):
-    if isinstance(t, tuple):
-        return construct(t[0], tuple(map(normalize, t[1:])), FAMILY)
-    return t
+    if type(t) is not tuple:
+        return t
+    ctor = t[0]
+    args = tuple(map(normalize, t[1:]))
+    if len(args) != CTOR_ARITY[ctor]:
+        raise ValueError(f"{ctor} expects {CTOR_ARITY[ctor]} arguments")
+    entry = ENTRIES[ctor]
+    if type(entry) is FreeEntry:
+        return (ctor,) + args  # f_C = C
+    return _construct_entry(ctor, entry, args, FAMILY, None)
 '''
-
-_CLAUSES = '''
-def _match(p, v, b):
-    if isinstance(p, tuple) and p[0] == "?":
-        b[p[1]] = v
-        return True
-    if isinstance(p, tuple):
-        return (
-            isinstance(v, tuple)
-            and v[0] == p[0]
-            and len(v) == len(p)
-            and all(_match(x, y, b) for x, y in zip(p[1:], v[1:]))
-        )
-    return p == v
-
-
-def _rhs(r, b, fam):
-    if isinstance(r, tuple) and r[0] == "?":
-        return b[r[1]]
-    if isinstance(r, tuple):
-        return construct(r[0], tuple([_rhs(a, b, fam) for a in r[1:]]), fam)
-    return r
-
-
-def _first_clause(ctor, entry, args, fam):
-    for pats, guard, rhs in entry.clauses:
-        b = {}
-        if all(_match(p, v, b) for p, v in zip(pats, args)) and all(
-            compare(fam.sig, b[i], b[j]) == 0 for i, j in guard
-        ):
-            return _rhs(rhs, b, fam)
-    return (ctor,) + args  # implicit default clause
-'''
-
-_AC_SHAPES = '''
-class TheoryError(Exception):
-    pass
-
-
-def _is_c(t, C):
-    return type(t) is tuple and t[0] == C
-
-
-def _split(t, s):
-    return t[1::s] if s > 0 else t[:0:-1]
-
-
-def _make(C, args):
-    return (C,) + args
-'''
-
-_BEGIN, _END = "# --- begin shared AC block ---\n", "# --- end shared AC block ---\n"
 
 
 @cache
-def _shared_block() -> str:
-    """The builder's AC functions, as written in builder.py between the markers."""
+def _shared_block(name: str) -> str:
+    """The builder's functions between the markers of its shared `name` block."""
     with open(builder.__file__, encoding="utf-8") as fh:
         source = fh.read()
-    return source[source.index(_BEGIN) + len(_BEGIN) : source.index(_END)]
+    begin, end = (f"# --- {m} shared {name} block ---\n" for m in ("begin", "end"))
+    return source[source.index(begin) + len(begin) : source.index(end)]
 
 
 def _entry_code(entry) -> str:
     if isinstance(entry, FreeEntry):
         return "FreeEntry()"
     if isinstance(entry, Type1Entry):
-        clauses = tuple(
-            (tuple(_tuple_term(p) for p in c.patterns), c.guard, _tuple_term(c.rhs))
+        clauses = _tuple_code([
+            f"Record(patterns={_tuple_code([_term_code(p) for p in c.patterns])}, "
+            f"guard={c.guard!r}, rhs={_term_code(c.rhs)})"
             for c in entry.clauses
-        )
-        return f"Type1Entry(clauses={clauses!r})"
+        ])
+        return f"Type1Entry(clauses={clauses})"
     if isinstance(entry, InverseEntry):
         return f"InverseEntry(carrier={entry.carrier!r})"
-    unit, absorber = (None if t is None else _tuple_term(t) for t in (entry.unit, entry.absorber))
+    unit, absorber = ("None" if t is None else _term_code(t) for t in (entry.unit, entry.absorber))
     return (
-        f"Type2Entry(sign={entry.sign}, unit={unit!r}, absorber={absorber!r}, "
+        f"Type2Entry(sign={entry.sign}, unit={unit}, absorber={absorber}, "
         f"idem={entry.idem}, nil={entry.nil}, inverse={entry.inverse!r})"
     )
 
@@ -279,7 +256,6 @@ def emit_code(fam: CompiledFamily) -> str:
     sig = fam.sig
     index = {d.name: i for i, d in enumerate(sig.constructors)}
     arity = {d.name: d.arity for d in sig.constructors}
-    kinds = {type(e) for e in fam.entries.values()}
     lines = [
         f'"""Construction functions for the {sig.rdt_sort!r} data type.',
         "",
@@ -294,19 +270,18 @@ def emit_code(fam: CompiledFamily) -> str:
         _PRELUDE.strip(),
         "",
         "",
+        "ENTRIES = {",
     ]
-    if Type1Entry in kinds:
-        lines += [_CLAUSES.strip(), "", ""]
-    lines.append("FAMILY = Record(sig=CTOR_INDEX, entries={")
     for d in sig.constructors:
         lines.append(f"    {d.name!r}: {_entry_code(fam.entries[d.name])},")
-    lines += ["})", "", ""]
+    lines += ["}", "", "FAMILY = Record(sig=CTOR_INDEX, entries=ENTRIES)", "", ""]
     for d in sig.constructors:
-        params = ", ".join(f"x{i}" for i in range(1, d.arity + 1))
-        args = f"({params}{',' if d.arity == 1 else ''})"
-        lines.append(f"def f_{d.name}({params}):")
-        lines.append(f'    return construct("{d.name}", {args}, FAMILY)')
+        params = [f"x{i}" for i in range(1, d.arity + 1)]
+        args = _tuple_code(params)
+        lines.append(f"def f_{d.name}({', '.join(params)}):")
+        lines.append(f'    return _construct_entry("{d.name}", ENTRIES["{d.name}"], {args}, FAMILY, None)')
         lines += ["", ""]
-    if Type2Entry in kinds:
-        lines += [_AC_SHAPES.strip(), "", "", _shared_block()]
+    lines.append(_shared_block("engine"))
+    if fam.classification.theories:
+        lines += ["", _shared_block("AC")]
     return "\n".join(lines).rstrip("\n") + "\n"

@@ -1,9 +1,10 @@
 """Clause reports and standalone generated modules.
 
 Report lines are frozen verbatim.  The generated module runs the builder's
-own AC functions on tuples: the tests check that it carries them verbatim
-with every name they use bound, and that it agrees with the in-process
-normalizer over enumerated terms, which exercises the tuple-world prelude.
+own dispatch, clause matcher and AC functions on tuples: the tests check
+that it carries them verbatim with every name they use bound, and that it
+agrees with the in-process normalizer over enumerated terms, which
+exercises the tuple-world prelude.
 """
 
 from __future__ import annotations
@@ -264,3 +265,111 @@ def test_generated_compare_walks_deep_chains_without_recursion():
     assert gen_compare(index, a, c) == -1 and gen_compare(index, c, a) == 1
     assert gen_compare(index, ("P", a, a), ("P", b, c)) == -1
     assert gen_compare(index, ("P", a, c), ("P", b, b)) == 1
+
+
+# --- one source for the dispatch and the clause matcher -----------------------------
+
+ENGINE = [builder._construct_entry, builder._match, builder._eval_rhs]
+
+ACCEPTED = ["aci", "acnil", "exp", "free", "left_group", "neu_rules", "vec"]
+
+
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_generated_module_carries_the_builders_engine_verbatim(name):
+    _, _, fam = load(name)
+    code = emit_code(fam)
+    # one contiguous block, in the builder's order, as its source reads
+    assert "\n\n".join(inspect.getsource(fn) for fn in ENGINE) in code
+    assert code.count("def _construct_entry(") == 1
+
+
+@pytest.mark.parametrize("name", ["neu_rules", "exp"])
+def test_every_global_the_engine_uses_is_bound_in_the_generated_module(name):
+    _, _, fam = load(name)
+    ns = exec_module(fam)
+    used = set().union(*(global_names(fn.__code__) for fn in ENGINE))
+    assert {"_ctor", "_split", "_make", "Var", "compare", "construct"} <= used
+    unbound = {n for n in used if n not in ns and not hasattr(builtins, n)}
+    if fam.classification.theories:
+        assert unbound == set()
+    else:
+        # a module without the AC block leaves the names of the AC branches
+        # unbound; no entry of the family reaches those branches
+        assert unbound == {"_construct_ac", "inverse_cf"}
+        kinds = {type(e) for e in fam.entries.values()}
+        assert not kinds & {builder.Type2Entry, builder.InverseEntry}
+    # each engine function is the builder's own code, compiled again
+    for fn in ENGINE:
+        assert ns[fn.__name__].__code__.co_code == fn.__code__.co_code
+
+
+RULE_FAMILIES = [
+    # a constant pattern, a guard under an AC node, an AC call in a right-hand side
+    (
+        "type t = A | B | I(int) | P(t, t) | D(t) | F(t)\n"
+        "with P: associative, commutative\n"
+        "rule D(x) -> P(x, x)\n"
+        "rule F(I(0)) -> A\n"
+        "rule F(P(x, x)) -> D(x)",
+        [App("A"), App("B"), App("I", (Prim("int", 0),)), App("I", (Prim("int", 1),))],
+        {
+            ("F", ("I", 0)): ("A",),
+            ("F", ("I", 1)): ("F", ("I", 1)),
+            ("D", ("B",)): ("P", ("B",), ("B",)),
+            ("F", ("P", ("B",), ("B",))): ("P", ("B",), ("B",)),
+            ("F", ("P", ("B",), ("A",))): ("F", ("P", ("A",), ("B",))),
+        },
+    ),
+    # a guard on the root's own arguments
+    (
+        "type t = A | B | M(t, t)\nrule M(x, x) -> x",
+        [App("A"), App("B")],
+        {
+            ("M", ("M", ("A",), ("B",)), ("M", ("A",), ("B",))): ("M", ("A",), ("B",)),
+            ("M", ("A",), ("B",)): ("M", ("A",), ("B",)),
+        },
+    ),
+]
+
+
+def two_levels(sig, atoms):
+    """The atoms and every term of nesting depth <= 2 over them through the
+    non-primitive-argument constructors."""
+    ctors = [d for d in sig.constructors if d.arity and all(s == sig.rdt_sort for s in d.arg_sorts)]
+    out = list(atoms)
+    for _ in range(2):
+        level = list(out)
+        out = level + [
+            App(d.name, args) for d in ctors for args in itertools.product(level, repeat=d.arity)
+        ]
+    return out
+
+
+@pytest.mark.parametrize("source, atoms, spot_checks", RULE_FAMILIES, ids=["ac_rules", "nonlinear"])
+def test_generated_module_matches_builder_on_rule_features(source, atoms, spot_checks):
+    sig, spec = parse_definition(source)
+    fam = compile_family(sig, spec)
+    ns = exec_module(fam)
+
+    def via_module(t):
+        if hasattr(t, "ctor"):
+            return ns[f"f_{t.ctor}"](*map(via_module, t.args))
+        return t.value
+
+    universe = two_levels(sig, atoms)
+    assert len(universe) > 40
+    for t, expected in spot_checks.items():
+        assert ns["normalize"](t) == expected, t
+    for t in universe:
+        expected = to_tuple(normalize(t, fam))
+        assert ns["normalize"](to_tuple(t)) == expected, t
+        assert via_module(t) == expected, t
+
+
+def test_generated_normalize_checks_arity():
+    sig, spec = parse_definition(RULE_FAMILIES[0][0])
+    ns = exec_module(compile_family(sig, spec))
+    with pytest.raises(ValueError):
+        ns["normalize"](("P", ("A",)))
+    with pytest.raises(ValueError):
+        ns["construct"]("P", (("A",),), ns["FAMILY"])
