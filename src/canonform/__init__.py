@@ -40,6 +40,7 @@ from .oracle import (
     find_redex,
     semantic_key,
     validate_family,
+    validate_terms,
 )
 from .syntax import parse_definition, parse_ground_term
 from .terms import (

@@ -60,6 +60,7 @@ value, so without a hash-consing table the fold keeps it as it is.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +76,7 @@ from .terms import (
     Term,
     Var,
     compare,
+    map_vars,
     root_sort,
     sort_of,
 )
@@ -174,33 +176,19 @@ def linearize(
 
     A dict passed as first receives each source variable's first fresh name.
     """
-    counter = [0]
     first = {} if first is None else first
     guard: list[tuple[str, str]] = []
+    names = (f"v{i}" for i in itertools.count(1))
 
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            counter[0] += 1
-            fresh = f"v{counter[0]}"
-            if t.name in first:
-                guard.append((first[t.name], fresh))
-            else:
-                first[t.name] = fresh
-            return Var(fresh, t.sort)
-        if isinstance(t, App):
-            return App(t.ctor, tuple(walk(a) for a in t.args))
-        return t
+    def fresh(v: Var) -> Var:
+        name = next(names)
+        if v.name in first:
+            guard.append((first[v.name], name))
+        else:
+            first[v.name] = name
+        return Var(name, v.sort)
 
-    out = walk(pattern)
-    return out, tuple(guard)
-
-
-def _rename_rhs(rhs: Term, first: dict[str, str]) -> Term:
-    if isinstance(rhs, Var):
-        return Var(first[rhs.name], rhs.sort)
-    if isinstance(rhs, App):
-        return App(rhs.ctor, tuple(_rename_rhs(a, first) for a in rhs.args))
-    return rhs
+    return map_vars(pattern, fresh), tuple(guard)
 
 
 def compile_rules(
@@ -216,7 +204,8 @@ def compile_rules(
         validate_rule(sig, rule)
         first: dict[str, str] = {}
         lin, guard = linearize(rule.lhs, first)
-        clause = CompiledClause(lin.args, guard, _rename_rhs(rule.rhs, first))
+        rhs = map_vars(rule.rhs, lambda v: Var(first[v.name], v.sort))
+        clause = CompiledClause(lin.args, guard, rhs)
         out.setdefault(rule.lhs.ctor, []).append(clause)
     return {c: tuple(cls) for c, cls in out.items()}
 

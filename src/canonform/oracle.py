@@ -9,10 +9,13 @@ Two oracles:
 * a bounded closure of the equations, a sound semi-decision procedure that
   answers YES or UNKNOWN, never NO.
 
-validate_family runs a compiled family over every term up to a size bound
+validate_family checks a compiled family on every term up to a size bound
 and reports correctness counterexamples (result not equal to the input),
 completeness counterexamples (equal inputs, different results), AC-normal
-form violations, and leftover redexes of the theory presentations.
+form violations, and leftover redexes of the theory presentations.  A
+catalog family is checked once per (constructor, argument values) tuple;
+the terms themselves are enumerated (validate_terms) only for rule-defined
+families and to report the failing terms of a catalog family.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from .terms import (
     enumerate_ground,
     format_term,
     positions,
+    require_enumerable,
     size,
     subterm_at,
+    tuples_of_size,
     _splice,
 )
 from .theory import (
@@ -213,14 +218,20 @@ def _instantiate(p: Term, binding: dict[str, Term]) -> Term:
 
 
 def _neighbors(t: Term, directed, cap: int) -> Iterator[Term]:
+    # a neighbour's size is t's with sub swapped for the instance, so t is
+    # measured once and only the matched subterm and the instance per step
+    t_size = size(t)
     for pos in positions(t):
         sub = subterm_at(t, pos)
+        rest = None  # t_size - size(sub), once sub has matched
         for l, r in directed:
             binding: dict[str, Term] = {}
             if _match_syntactic(l, sub, binding):
-                nt = _splice(t, pos, _instantiate(r, binding))
-                if size(nt) <= cap:
-                    yield nt
+                inst = _instantiate(r, binding)
+                if rest is None:
+                    rest = t_size - size(sub)
+                if rest + size(inst) <= cap:
+                    yield _splice(t, pos, inst)
 
 
 class _UnionFind:
@@ -423,6 +434,9 @@ class ValidationReport:
     acnf_violations: list[tuple[Term, Term]] = field(default_factory=list)
     redexes: list[tuple[Term, Term, str]] = field(default_factory=list)
     unknowns: list[tuple[str, Term, Term]] = field(default_factory=list)
+    # set by a clean value pass that checked every tuple over a value set
+    # construct never leaves: the family is then valid at every size
+    closed: bool = False
 
     @property
     def has_failures(self) -> bool:
@@ -475,7 +489,89 @@ def validate_family(
     max_size: int,
     budget: Optional[ClosureBudget] = None,
 ) -> ValidationReport:
-    """Exhaustively check the family on every term up to max_size nodes.
+    """Check the family on every term up to max_size nodes.
+
+    A catalog family (no rule-defined constructors) is checked once per
+    (constructor, argument values) tuple by _value_pass.  A clean pass
+    proves every term clean, so the terms are enumerated (validate_terms)
+    only when the pass flags something, to report each failing term.
+    Rule-defined families always take validate_terms.
+    """
+    if not fam.classification.type1:
+        closed = _value_pass(fam, spec, sig, max_size)
+        if closed is not None:
+            return ValidationReport(max_size=max_size, closed=closed)
+    return validate_terms(fam, spec, sig, max_size, budget)
+
+
+def _presentation(fam: CompiledFamily, spec: TheorySpec, sig: Signature) -> list:
+    # the rules that must leave no redex in a normal form
+    cl = fam.classification
+    rules = [r for th in cl.theories for r in builtin_presentation(th, sig)]
+    rules.extend(spec.rules)
+    return rules
+
+
+def _value_pass(
+    fam: CompiledFamily, spec: TheorySpec, sig: Signature, max_size: int
+) -> Optional[bool]:
+    """Check a catalog family once per (constructor, argument values) tuple.
+
+    Values are grouped by the size at which a term first reaches them, and
+    the tuples of size n draw their arguments from those groups
+    (tuples_of_size), so the tuple of every term up to max_size is built
+    exactly once.  Each tuple's result must have the key of the tuple itself
+    (correctness), each key one result (completeness), and each new value
+    must be AC-normal and redex-free.  semantic_key is exact, hence a
+    congruence, so by induction on the term a clean pass means every term
+    passes validate_terms.
+
+    Returns None when a check fails.  Otherwise returns whether every tuple
+    over the final value set was checked: construct then never leaves the
+    set, and the family is valid at every size.
+    """
+    require_enumerable(sig, sig.rdt_sort, max_size)
+    cl = fam.classification
+    orientation = cl.orientations()
+    rules = _presentation(fam, spec, sig)
+    key = functools.partial(semantic_key, cl, sig)
+    value_of: dict = {}  # class key -> the one value its tuples build
+    by_size: dict[int, list[Term]] = {}  # values first reached at each size
+    for n in range(1, max_size + 1):
+        new: list[Term] = []
+        for ctor, args in tuples_of_size(sig, n, by_size):
+            try:
+                v = construct(ctor, args, fam)
+            except Exception:
+                return None  # validate_terms raises it where it always has
+            k = key(App(ctor, args))
+            known = value_of.get(k)
+            if known is not None:
+                if known != v:
+                    return None
+                continue
+            # a new class: a correct v is a new value, since its key is new
+            if key(v) != k or not is_ac_normal(sig, v, orientation):
+                return None
+            if find_redex(sig, v, rules, orientation) is not None:
+                return None
+            value_of[k] = v
+            new.append(v)
+        by_size[n] = new
+    last = max((n for n, vs in by_size.items() if vs), default=0)
+    max_arity = max((d.arity for d in sig.constructors), default=0)
+    return 1 + max_arity * last <= max_size
+
+
+def validate_terms(
+    fam: CompiledFamily,
+    spec: TheorySpec,
+    sig: Signature,
+    max_size: int,
+    budget: Optional[ClosureBudget] = None,
+) -> ValidationReport:
+    """Exhaustively check the family on every term up to max_size nodes,
+    reporting every failing term in enumeration order.
 
     Terms come after their arguments, so each normal form is one construct
     call.  One class function judges correctness and completeness: the
@@ -490,8 +586,7 @@ def validate_family(
     for t in terms:
         nf[t] = construct(t.ctor, tuple(nf[a] for a in t.args), fam)
 
-    rules = [r for th in cl.theories for r in builtin_presentation(th, sig)]
-    rules.extend(spec.rules)
+    rules = _presentation(fam, spec, sig)
 
     truncated = False
     if cl.type1:

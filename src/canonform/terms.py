@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import PositionError, SignatureError, SortError
 
@@ -302,6 +302,32 @@ def positions(t: Term) -> Iterator[Position]:
                 i -= 1
 
 
+def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
+    """t with every variable v replaced by f(v).  f is called on the
+    variables in preorder (left to right); nodes with no variable below them
+    are kept, not rebuilt.  One loop with explicit stacks, so no depth of t
+    reaches Python's recursion limit."""
+    done: list[Term] = []  # finished subterms, left to right
+    stack: list = [t]  # terms still to walk, and (node, arity) to rebuild
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:
+            node, n = u
+            args = tuple(done[-n:])
+            del done[-n:]
+            if any(a is not b for a, b in zip(args, node.args)):
+                node = App(node.ctor, args)
+            done.append(node)
+        elif isinstance(u, Var):
+            done.append(f(u))
+        elif isinstance(u, App) and u.args:
+            stack.append((u, len(u.args)))
+            stack += reversed(u.args)
+        else:
+            done.append(u)
+    return done[0]
+
+
 def subterm_at(t: Term, pos: Position) -> Term:
     for i in pos:
         if not isinstance(t, App) or not 1 <= i <= len(t.args):
@@ -339,14 +365,9 @@ def _compositions(total: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_ground(sig: Signature, sort: str, max_size: int) -> list[Term]:
-    """Every ground term of the sort with at most max_size nodes, each exactly
-    once, smallest sizes first, deterministic within a size (declaration order,
-    then argument-size compositions lexicographically, then argument order).
-
-    Signatures with primitive-typed constructor arguments are rejected: those
-    domains are unbounded, so the requested set would be infinite.
-    """
+def require_enumerable(sig: Signature, sort: str, max_size: int) -> None:
+    """Raise SignatureError unless the terms of the sort up to max_size nodes
+    form a finite set that enumerate_ground can list."""
     if max_size < 1:
         raise SignatureError("max_size must be at least 1")
     if sort in sig.primitives:
@@ -360,20 +381,39 @@ def enumerate_ground(sig: Signature, sort: str, max_size: int) -> list[Term]:
                     f"constructor {d.name!r} takes a {s!r} argument; "
                     "primitive domains are unbounded"
                 )
+
+
+def tuples_of_size(
+    sig: Signature, n: int, by_size: dict[int, list]
+) -> Iterator[tuple[str, tuple]]:
+    """Every (constructor, arguments) pair of total size n whose i-th argument
+    is drawn from by_size[p_i]: declaration order, then argument-size
+    compositions lexicographically, then argument order.  by_size must hold
+    every size below n; each entry counts as p_i nodes, whatever it is."""
+    for d in sig.constructors:
+        if d.arity == 0:
+            if n == 1:
+                yield d.name, ()
+            continue
+        if n < d.arity + 1:
+            continue
+        for parts in _compositions(n - 1, d.arity):
+            for args in itertools.product(*(by_size[p] for p in parts)):
+                yield d.name, args
+
+
+def enumerate_ground(sig: Signature, sort: str, max_size: int) -> list[Term]:
+    """Every ground term of the sort with at most max_size nodes, each exactly
+    once, smallest sizes first, deterministic within a size (the order of
+    tuples_of_size).
+
+    Signatures with primitive-typed constructor arguments are rejected: those
+    domains are unbounded, so the requested set would be infinite.
+    """
+    require_enumerable(sig, sort, max_size)
     by_size: dict[int, list[Term]] = {}
     for n in range(1, max_size + 1):
-        bucket: list[Term] = []
-        for d in sig.constructors:
-            if d.arity == 0:
-                if n == 1:
-                    bucket.append(App(d.name))
-                continue
-            if n < d.arity + 1:
-                continue
-            for parts in _compositions(n - 1, d.arity):
-                for args in itertools.product(*(by_size[p] for p in parts)):
-                    bucket.append(App(d.name, args))
-        by_size[n] = bucket
+        by_size[n] = [App(c, args) for c, args in tuples_of_size(sig, n, by_size)]
     out: list[Term] = []
     for n in range(1, max_size + 1):
         out.extend(by_size[n])

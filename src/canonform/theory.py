@@ -160,14 +160,15 @@ def _head_ctor(t: Term) -> Optional[str]:
 
 
 def _pattern_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        out: set[str] = set()
-        for a in t.args:
-            out |= _pattern_vars(a)
-        return out
-    return set()
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            out.add(u.name)
+        elif isinstance(u, App):
+            stack += u.args
+    return out
 
 
 def validate_rule(sig: Signature, rule: RewriteRule) -> None:
