@@ -96,12 +96,24 @@ def emit_report(fam: CompiledFamily) -> str:
 
 
 def _rhs_str(rhs: Term) -> str:
-    """Clause right-hand sides mean construction-function calls."""
-    if isinstance(rhs, App) and rhs.args:
-        return _call(rhs.ctor, *(_rhs_str(a) for a in rhs.args))
-    if isinstance(rhs, App):
-        return _call(rhs.ctor)
-    return format_term(rhs)
+    """Clause right-hand sides mean construction-function calls.  One loop
+    with explicit stacks, so no depth of rhs reaches Python's recursion
+    limit."""
+    done: list[str] = []  # finished argument strings, left to right
+    stack: list = [rhs]  # terms still to print, and (ctor, arity) to call
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:
+            ctor, n = u
+            args = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(_call(ctor, *args))
+        elif isinstance(u, App):
+            stack.append((u.ctor, len(u.args)))
+            stack += reversed(u.args)
+        else:
+            done.append(format_term(u))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

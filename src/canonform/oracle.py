@@ -7,7 +7,9 @@ Two oracles:
   nilpotence, multisets for plain AC), combined recursively across disjoint
   theories;
 * a bounded closure of the equations, a sound semi-decision procedure that
-  answers YES or UNKNOWN, never NO.
+  answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
+  a table local to the call, so equal terms are one object: states are
+  compared and looked up by identity, and each size is stored, not measured.
 
 validate_family checks a compiled family on every term up to a size bound
 and reports correctness counterexamples (result not equal to the input),
@@ -40,10 +42,8 @@ from .terms import (
     format_term,
     positions,
     require_enumerable,
-    size,
     subterm_at,
     tuples_of_size,
-    _splice,
 )
 from .theory import (
     Classification,
@@ -217,21 +217,143 @@ def _instantiate(p: Term, binding: dict[str, Term]) -> Term:
     return p
 
 
-def _neighbors(t: Term, directed, cap: int) -> Iterator[Term]:
-    # a neighbour's size is t's with sub swapped for the instance, so t is
-    # measured once and only the matched subterm and the instance per step
-    t_size = size(t)
-    for pos in positions(t):
-        sub = subterm_at(t, pos)
-        rest = None  # t_size - size(sub), once sub has matched
-        for l, r in directed:
-            binding: dict[str, Term] = {}
-            if _match_syntactic(l, sub, binding):
-                inst = _instantiate(r, binding)
-                if rest is None:
-                    rest = t_size - size(sub)
-                if rest + size(inst) <= cap:
-                    yield _splice(t, pos, inst)
+class _States:
+    """The hash-consing table of one closure search: one object per term.
+
+    A node is keyed by its constructor and the ids of its interned
+    arguments, a leaf by its fields, so equal terms are one object and the
+    search compares them with `is`.  The table stores each term's size.
+    """
+
+    def __init__(self):
+        self.nodes: dict[tuple, Term] = {}
+        self.size: dict[int, int] = {}  # id of an interned term -> node count
+
+    def node(self, ctor: str, args: tuple, orig: Optional[App] = None) -> App:
+        # orig, an equal App, becomes the node if it is new: the caller's
+        # seeds stay the union-find's keys, found later without a comparison
+        key = (ctor, *map(id, args))
+        u = self.nodes.get(key)
+        if u is None:
+            if orig is None or any(a is not b for a, b in zip(args, orig.args)):
+                orig = App(ctor, args)
+            u = self.nodes[key] = orig
+            self.size[id(u)] = 1 + sum(self.size[id(a)] for a in args)
+        return u
+
+    def intern(self, t: Term) -> Term:
+        done: list[Term] = []  # interned subterms, left to right
+        stack: list = [t]  # terms still to walk, and (node, arity) to rebuild
+        while stack:
+            u = stack.pop()
+            if type(u) is tuple:
+                node, n = u
+                args = tuple(done[len(done) - n:])
+                del done[len(done) - n:]
+                done.append(self.node(node.ctor, args, node))
+            elif id(u) in self.size:  # interned already; the table keeps it alive
+                done.append(u)
+            elif isinstance(u, App):
+                stack.append((u, len(u.args)))
+                stack += reversed(u.args)
+            else:
+                f = (u.name, u.sort) if isinstance(u, Var) else (u.ptype, type(u.value), u.value)
+                u = self.nodes.setdefault((type(u), *f), u)
+                self.size[id(u)] = 1
+                done.append(u)
+        return done[0]
+
+    def rule(self, l: Term, r: Term) -> tuple:
+        # interned sides, r's non-variable node count and r's variable
+        # occurrences: an instance's size is known before it is built
+        l, r = self.intern(l), self.intern(r)
+        nodes, occurrences, stack = 0, [], [r]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Var):
+                occurrences.append(u.name)
+            else:
+                nodes += 1
+                if isinstance(u, App):
+                    stack += u.args
+        return l, r, nodes, occurrences
+
+    def instance(self, r: Term, binding: dict[str, Term]) -> Term:
+        done: list[Term] = []
+        stack: list = [r]
+        while stack:
+            u = stack.pop()
+            if type(u) is tuple:
+                ctor, n = u
+                args = tuple(done[-n:])
+                del done[-n:]
+                done.append(self.node(ctor, args))
+            elif isinstance(u, Var):
+                done.append(binding[u.name])
+            elif isinstance(u, App) and u.args:
+                stack.append((u.ctor, len(u.args)))
+                stack += reversed(u.args)
+            else:
+                done.append(u)  # an interned leaf of r
+        return done[0]
+
+
+def _match_state(p: Term, t: Term, binding: dict[str, Term]) -> bool:
+    # _match_syntactic on interned terms: leaves and repeated variables by `is`
+    stack = [(p, t)]
+    while stack:
+        p, t = stack.pop()
+        if type(p) is Var:
+            if binding.setdefault(p.name, t) is not t:
+                return False
+        elif type(p) is App and p.args:
+            if type(t) is not App or t.ctor != p.ctor or len(t.args) != len(p.args):
+                return False
+            stack += zip(p.args, t.args)
+        elif p is not t:
+            return False
+    return True
+
+
+def _neighbors(
+    t: Term, directed, cap: int, states: Optional[_States] = None
+) -> Iterator[Term]:
+    """The terms one directed step from t with at most cap nodes, by
+    position in preorder, then by rule.  With states, t and the neighbours
+    are interned there and directed comes from states.rule; without, the
+    call interns t and directed in a table of its own."""
+    if states is None:
+        states = _States()
+        t = states.intern(t)
+        directed = [states.rule(l, r) for l, r in directed]
+    size, node = states.size, states.node
+    # a subterm with its ancestors: (parent, argument index, parent's chain)
+    stack: list = [(t, None)]
+    while stack:
+        sub, up = stack.pop()
+        rest = size[id(t)] - size[id(sub)]
+        for l, r, nodes, occurrences in directed:
+            if type(l) is Var:
+                binding = {l.name: sub}
+            else:
+                binding = {}
+                if not _match_state(l, sub, binding):
+                    continue
+            nb_size = rest + nodes
+            for v in occurrences:
+                nb_size += size[id(binding[v])]
+            if nb_size > cap:
+                continue
+            nb = binding[r.name] if type(r) is Var else states.instance(r, binding)
+            chain = up
+            while chain is not None:
+                parent, i, chain = chain
+                args = parent.args
+                nb = node(parent.ctor, (*args[:i], nb, *args[i + 1:]))
+            yield nb
+        if type(sub) is App:
+            for i in range(len(sub.args) - 1, -1, -1):
+                stack.append((sub.args[i], (sub, i, up)))
 
 
 class _UnionFind:
@@ -239,14 +361,17 @@ class _UnionFind:
         self.parent: dict = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] is not root:
+            root = parent[root]
+        while x is not root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+        if ra is not rb:
             self.parent[ra] = rb
 
 
@@ -257,28 +382,37 @@ def closure_classes(
 ) -> tuple[_UnionFind, bool]:
     """One batched closure over many seeds: a union-find where provably equal
     terms share a class, plus a flag that is True when the budget truncated
-    the search (so absence from a class proves nothing)."""
+    the search (so absence from a class proves nothing).
+
+    The search works on interned states (_States): equal terms are one
+    object, so the seen set and the union-find compare by identity, and a
+    neighbour's size is known from stored sizes before it is built.  The
+    states, their order and the classes are those of a search on plain
+    terms.  uf.find accepts any term equal to a state.
+    """
     bud = budget or ClosureBudget()
-    cap = bud.max_term_size or max((size(s) for s in seeds), default=1) + 4
-    directed = _directed(eqs)
-    uf = _UnionFind()
+    states = _States()
+    directed = [states.rule(l, r) for l, r in _directed(eqs)]
     # seed order, not set order: a truncated search must not depend on hashing
-    queue = deque(dict.fromkeys(seeds))
-    seen = set(queue)
+    queue = deque({id(s): s for s in map(states.intern, seeds)}.values())
+    size = states.size
+    cap = bud.max_term_size or max((size[id(s)] for s in queue), default=1) + 4
+    uf = _UnionFind()
     for s in queue:
         uf.find(s)
-    states = len(seen)
+    seen = {id(s) for s in queue}
+    states_left = bud.max_steps - len(seen)
     truncated = False
     while queue:
         s = queue.popleft()
-        for nb in _neighbors(s, directed, cap):
+        for nb in _neighbors(s, directed, cap, states):
             uf.union(s, nb)
-            if nb not in seen:
-                if states >= bud.max_steps:
+            if id(nb) not in seen:
+                if states_left <= 0:
                     truncated = True
                     continue
-                states += 1
-                seen.add(nb)
+                states_left -= 1
+                seen.add(id(nb))
                 queue.append(nb)
     return uf, truncated
 

@@ -337,11 +337,15 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 
 def _splice(t: Term, pos: Position, u: Term) -> Term:
-    if not pos:
-        return u
-    args = list(t.args)
-    args[pos[0] - 1] = _splice(args[pos[0] - 1], pos[1:], u)
-    return App(t.ctor, tuple(args))
+    # t with u at pos: walk down to collect the ancestors, then rebuild them
+    ancestors = []
+    for i in pos:
+        ancestors.append((t, i))
+        t = t.args[i - 1]
+    for node, i in reversed(ancestors):
+        args = node.args
+        u = App(node.ctor, (*args[: i - 1], u, *args[i:]))
+    return u
 
 
 def replace_at(sig: Signature, t: Term, pos: Position, u: Term) -> Term:

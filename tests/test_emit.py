@@ -101,6 +101,19 @@ def test_report_for_rule_defined_type():
     ]
 
 
+def test_report_prints_a_deep_rule_without_recursion():
+    """A 600-deep right-hand side, under the default recursion limit."""
+    sig, spec = parse_definition(
+        "type t = E | S(t) | C(t, t)\nrule C(x, E) -> " + "S(" * 600 + "x" + ")" * 600
+    )
+    assert emit_report(compile_family(sig, spec)).splitlines() == [
+        "f_E: () -> E",
+        "f_S: (x1) -> S(x1)",
+        "f_C: (v1, E) -> " + "f_S(" * 600 + "v1" + ")" * 600,
+        "f_C: (x1, x2) -> C(x1, x2)",
+    ]
+
+
 def test_report_renders_nonlinear_guards():
     sig, spec = parse_definition("type t = A | B | M(t, t)\nrule M(x, x) -> x")
     fam = compile_family(sig, spec)

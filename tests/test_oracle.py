@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
@@ -22,6 +23,7 @@ from canonform import (
     App,
     ClosureBudget,
     OracleError,
+    Prim,
     builtin_presentation,
     classify,
     algebraic_equal,
@@ -31,10 +33,13 @@ from canonform import (
     equations_of,
     find_redex,
     normalize,
+    parse_definition,
     semantic_key,
     validate_family,
 )
 import canonform.builder as builder
+import canonform.oracle as oracle
+from canonform.terms import _splice, positions, size, subterm_at
 
 from conftest import load, terms
 
@@ -192,6 +197,163 @@ def test_closure_budget_validation():
         ClosureBudget(max_steps=0)
     with pytest.raises(OracleError):
         ClosureBudget(max_steps=10, max_term_size=0)
+
+
+# The closure as it was before its states were interned: structural equality,
+# a re-walk per position and a measured size per neighbour.  The interned
+# search must reach the same states, in the same order, and the same classes.
+
+
+def reference_neighbors(t, directed, cap):
+    t_size = size(t)
+    for pos in positions(t):
+        sub = subterm_at(t, pos)
+        rest = None
+        for l, r in directed:
+            binding = {}
+            if oracle._match_syntactic(l, sub, binding):
+                inst = oracle._instantiate(r, binding)
+                if rest is None:
+                    rest = t_size - size(sub)
+                if rest + size(inst) <= cap:
+                    yield _splice(t, pos, inst)
+
+
+class ReferenceUnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        if p != x:
+            p = self.parent[x] = self.find(p)
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def reference_closure_classes(eqs, seeds, budget):
+    cap = budget.max_term_size or max((size(s) for s in seeds), default=1) + 4
+    directed = oracle._directed(eqs)
+    uf = ReferenceUnionFind()
+    queue = deque(dict.fromkeys(seeds))
+    seen = set(queue)
+    for s in queue:
+        uf.find(s)
+    states = len(seen)
+    truncated = False
+    while queue:
+        s = queue.popleft()
+        for nb in reference_neighbors(s, directed, cap):
+            uf.union(s, nb)
+            if nb not in seen:
+                if states >= budget.max_steps:
+                    truncated = True
+                    continue
+                states += 1
+                seen.add(nb)
+                queue.append(nb)
+    return uf, truncated
+
+
+def partition(uf):
+    classes = {}
+    for t in uf.parent:
+        classes.setdefault(uf.find(t), set()).add(t)
+    return {frozenset(c) for c in classes.values()}
+
+
+def validation_seeds(name, max_size):
+    # what validate_terms seeds the closure with: the terms, then their values
+    _, _, fam = load(name)
+    ts = terms(name, max_size)
+    return list(dict.fromkeys([*ts, *(normalize(t, fam) for t in ts)]))
+
+
+INT_RULE = "type t = A | I(int) | P(t, t)\nrule P(I(0), x) -> x\n"
+
+
+def int_rule_seeds():
+    # equal constants as distinct objects: interned, they are one state
+    def i(v):
+        return App("I", (Prim("int", v),))
+
+    A = App("A")
+    return [
+        App("P", (i(0), A)),
+        App("P", (i(0), App("P", (i(0), A)))),
+        App("P", (A, i(0))),
+        App("P", (i(1), i(0))),
+        i(0),
+        A,
+    ]
+
+
+CLOSURE_CASES = [
+    *(("neu_rules", n, b) for n in (6, 7, 8) for b in (3, 500, 40_000)),
+    *(("neu_rules", n, 50) for n in (3, 4, 5)),
+    ("exp", 5, 400),
+    ("exp", 5, 40_000),
+    ("aci", 7, 60_000),
+    ("vec", 5, 3_000),
+]
+
+
+@pytest.mark.parametrize("name,max_size,steps", CLOSURE_CASES)
+def test_interned_closure_matches_the_reference(name, max_size, steps):
+    sig, spec, _ = load(name)
+    eqs = equations_of(spec, sig)
+    seeds = validation_seeds(name, max_size)
+    budget = ClosureBudget(max_steps=steps)
+    uf, truncated = closure_classes(eqs, seeds, budget)
+    ref, ref_truncated = reference_closure_classes(eqs, seeds, budget)
+    assert truncated == ref_truncated
+    assert list(uf.parent) == list(ref.parent)  # the same states, in order
+    assert partition(uf) == partition(ref)
+    for t in seeds:  # any term equal to a state finds its class
+        assert uf.find(App(t.ctor, t.args)) is uf.find(t)
+
+
+@pytest.mark.parametrize("steps", [2, 10, 1_000])
+def test_interned_closure_matches_the_reference_with_int_constants(steps):
+    sig, spec = parse_definition(INT_RULE)
+    eqs = equations_of(spec, sig)
+    budget = ClosureBudget(max_steps=steps)
+    uf, truncated = closure_classes(eqs, int_rule_seeds(), budget)
+    ref, ref_truncated = reference_closure_classes(eqs, int_rule_seeds(), budget)
+    assert truncated == ref_truncated
+    assert list(uf.parent) == list(ref.parent)  # the same states, in order
+    assert partition(uf) == partition(ref)
+    # one state per term, however many equal objects the seeds hold
+    assert len(uf.parent) == len(set(uf.parent))
+    A = App("A")
+    assert uf.find(int_rule_seeds()[0]) is uf.find(A)
+
+
+def test_closure_compares_states_by_identity(monkeypatch):
+    """Equal states are one object, so the search never compares two terms
+    node by node.  Before interning, this closure made 53,159 App.__eq__
+    calls over 461 states."""
+    sig, spec, _ = load("neu_rules")
+    seeds = validation_seeds("neu_rules", 6)
+    calls = 0
+    app_eq = App.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return app_eq(self, other)
+
+    monkeypatch.setattr(App, "__eq__", counting_eq)
+    uf, truncated = closure_classes(
+        equations_of(spec, sig), seeds, ClosureBudget(max_steps=40_000)
+    )
+    monkeypatch.undo()
+    assert not truncated and len(uf.parent) == 461
+    assert calls <= len(seeds), calls
 
 
 # --- redex search ----------------------------------------------------------------

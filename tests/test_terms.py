@@ -307,6 +307,13 @@ def test_position_examples(exp_sig):
         replace_at(exp_sig, ZERO, (1,), ONE)
 
 
+def test_replace_at_a_deep_position_without_recursion():
+    """A 5,000-deep position, under the default recursion limit."""
+    n = 5_000
+    t = replace_at(SYN, s_chain(n), (1,) * n, App("P", (App("L"), App("L"))))
+    assert compare(SYN, t, s_chain(n, App("P", (App("L"), App("L"))))) == EQ
+
+
 def test_replace_at_rejects_ill_sorted():
     tree = Signature("tree", [("Leaf", ["int"]), ("Node", ["tree", "tree"])])
     leaf = App("Leaf", (Prim("int", 3),))
