@@ -12,10 +12,11 @@ structural order, recursively.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Mapping
 
 from .errors import ShapeError
-from .terms import App, Signature, Term, compare
+from .terms import App, Signature, Term, compare, fold
 
 Orientation = Mapping[str, str]  # AC constructor name -> "left" | "right"
 
@@ -29,26 +30,45 @@ def comb_sign(orientation: str) -> int:
     return 1 if orientation == "right" else -1
 
 
-def _rotate(C: str, t: App, s: int) -> Term:
-    # exhaustively moves C-headed arguments off the exposed side of the
-    # spine: C(C(x,y),z) -> C(x,C(y,z)) for right combs, mirrored for left
-    e, r = t.args[::s]
-    while isinstance(e, App) and e.ctor == C:
-        x, y = e.args[::s]
-        r = _rotate(C, App(C, (y, r)[::s]), s)
-        e = x
-    return App(C, (e, r)[::s])
+def spine(C: str, t: Term) -> list[Term]:
+    """The leaves of t's C-spine in any bracketing, left to right; [t] when
+    t is not C-headed."""
+    out: list[Term] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App) and u.ctor == C:
+            stack += reversed(u.args)
+        else:
+            out.append(u)
+    return out
+
+
+def _recomb(t: Term, orientation: Orientation, read, sig=None) -> Term:
+    # One fold that rebuilds every AC spine u as a comb of its orientation
+    # from the leaves read(C, u) lists, each leaf folded first, and sorts
+    # them when sig is given.  Other nodes are kept when their arguments
+    # come back unchanged.
+    key = None if sig is None else functools.cmp_to_key(lambda a, b: compare(sig, a, b))
+
+    def children(u: App):
+        return u.args if u.ctor not in orientation else read(u.ctor, u)
+
+    def node(u: App, values: tuple) -> Term:
+        o = orientation.get(u.ctor)
+        if o is None:
+            if all(map(operator.is_, values, u.args)):
+                return u
+            return App(u.ctor, values)
+        parts = list(values) if key is None else sorted(values, key=key)
+        return build_comb(u.ctor, parts, o)
+
+    return fold(t, lambda u: u, node, children)
 
 
 def comb(t: Term, orientation: Orientation) -> Term:
     """Reassociate every AC spine into a comb of its declared direction."""
-    if not isinstance(t, App) or not t.args:
-        return t
-    t2 = App(t.ctor, tuple(comb(a, orientation) for a in t.args))
-    o = orientation.get(t.ctor)
-    if o is None:
-        return t2
-    return _rotate(t.ctor, t2, comb_sign(o))
+    return _recomb(t, orientation, spine)
 
 
 def leaves(C: str, t: Term, orientation: str = "right") -> list[Term]:
@@ -78,27 +98,22 @@ def build_comb(C: str, parts: list[Term], orientation: str = "right") -> Term:
 
 def sort_combs(sig: Signature, t: Term, orientation: Orientation) -> Term:
     """Sort every comb's leaves (after normalizing inside the leaves)."""
-    if isinstance(t, App) and t.ctor in orientation:
-        o = orientation[t.ctor]
-        parts = [sort_combs(sig, l, orientation) for l in leaves(t.ctor, t, o)]
-        parts.sort(key=functools.cmp_to_key(lambda a, b: compare(sig, a, b)))
-        return build_comb(t.ctor, parts, o)
-    if isinstance(t, App) and t.args:
-        return App(t.ctor, tuple(sort_combs(sig, a, orientation) for a in t.args))
-    return t
+    return _recomb(t, orientation, lambda C, u: leaves(C, u, orientation[C]), sig)
 
 
 def is_ac_normal(sig: Signature, t: Term, orientation: Orientation) -> bool:
     """True iff every AC spine is a comb with non-decreasing leaves, recursively."""
-    if isinstance(t, App) and t.ctor in orientation:
-        try:
-            parts = leaves(t.ctor, t, orientation[t.ctor])
-        except ShapeError:
-            return False
-        for a, b in zip(parts, parts[1:]):
-            if compare(sig, a, b) > 0:
+    stack = [t]  # subterms still to check, the next one last
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App) and u.ctor in orientation:
+            try:
+                parts = leaves(u.ctor, u, orientation[u.ctor])
+            except ShapeError:
                 return False
-        return all(is_ac_normal(sig, l, orientation) for l in parts)
-    if isinstance(t, App):
-        return all(is_ac_normal(sig, a, orientation) for a in t.args)
+            if any(compare(sig, a, b) > 0 for a, b in zip(parts, parts[1:])):
+                return False
+            stack += reversed(parts)
+        elif isinstance(u, App):
+            stack += reversed(u.args)
     return True

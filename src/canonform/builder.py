@@ -280,8 +280,9 @@ def construct(
 # modules, which bind the names it uses to tuple-world versions.  So the
 # blocks have no annotations and no imports (the word must not appear inside
 # them), touch terms only through _is_c, _ctor, _split, _make, compare and
-# type(t) is Var, and read entries only through their attributes and their
-# kind, type(entry).
+# type(t) is Var, read entries only through their attributes and their
+# kind, type(entry), and mark pending work on a stack with a list, since
+# tuples are terms there.
 # --- begin shared engine block ---
 def _construct_entry(ctor, entry, args, fam, table):
     """f_ctor on arguments of the right number and sorts, by entry kind."""
@@ -302,26 +303,39 @@ def _construct_entry(ctor, entry, args, fam, table):
 
 
 def _match(pattern, value, binding):
-    if type(pattern) is Var:
-        binding[pattern.name] = value  # linear patterns never rebind
-        return True
-    c = _ctor(pattern)
-    if c is None:
-        return pattern == value
-    if _ctor(value) != c:
-        return False
-    return all(_match(p, v, binding) for p, v in zip(_split(pattern, 1), _split(value, 1)))
+    pairs = [(pattern, value)]  # pattern and value pairs still to match
+    while pairs:
+        p, v = pairs.pop()
+        if type(p) is Var:
+            binding[p.name] = v  # linear patterns never rebind
+        elif _ctor(p) is not None and _ctor(p) == _ctor(v):
+            pairs += zip(_split(p, 1), _split(v, 1))
+        elif p != v:  # a constant, or two constructors that differ
+            return False
+    return True
 
 
 def _eval_rhs(rhs, binding, fam, table):
-    """A clause's right-hand side: each constructor in it is a construction call."""
-    if type(rhs) is Var:
-        return binding[rhs.name]
-    c = _ctor(rhs)
-    if c is None:
-        return table.canonical(rhs) if table is not None else rhs
-    args = tuple(_eval_rhs(a, binding, fam, table) for a in _split(rhs, 1))
-    return construct(c, args, fam, table)
+    """A clause's right-hand side: each constructor in it is a construction
+    call, made in the order of a recursive left-to-right fold."""
+    done = []  # values of the finished subterms, leftmost first
+    todo = [rhs]  # subterms still to evaluate, and [ctor, arity] calls to make
+    while todo:
+        u = todo.pop()
+        if type(u) is list:
+            c, n = u
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(construct(c, args, fam, table))
+        elif type(u) is Var:
+            done.append(binding[u.name])
+        elif _ctor(u) is None:
+            done.append(table.canonical(u) if table is not None else u)
+        else:
+            args = _split(u, 1)
+            todo.append([_ctor(u), len(args)])
+            todo += args[::-1]
+    return done[0]
 # --- end shared engine block ---
 
 

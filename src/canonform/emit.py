@@ -18,7 +18,7 @@ from functools import cache
 
 from . import builder
 from .builder import CompiledFamily, FreeEntry, InverseEntry, Type1Entry
-from .terms import App, Prim, Signature, Term, Var, format_term
+from .terms import App, Signature, Term, Var, fold, format_term
 
 
 def _v(name: str, sig: Signature) -> Term:
@@ -96,24 +96,8 @@ def emit_report(fam: CompiledFamily) -> str:
 
 
 def _rhs_str(rhs: Term) -> str:
-    """Clause right-hand sides mean construction-function calls.  One loop
-    with explicit stacks, so no depth of rhs reaches Python's recursion
-    limit."""
-    done: list[str] = []  # finished argument strings, left to right
-    stack: list = [rhs]  # terms still to print, and (ctor, arity) to call
-    while stack:
-        u = stack.pop()
-        if type(u) is tuple:
-            ctor, n = u
-            args = done[len(done) - n:]
-            del done[len(done) - n:]
-            done.append(_call(ctor, *args))
-        elif isinstance(u, App):
-            stack.append((u.ctor, len(u.args)))
-            stack += reversed(u.args)
-        else:
-            done.append(format_term(u))
-    return done[0]
+    """Clause right-hand sides mean construction-function calls."""
+    return fold(rhs, format_term, lambda u, args: _call(u.ctor, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +106,11 @@ def _rhs_str(rhs: Term) -> str:
 
 def _term_code(t: Term) -> str:
     """t as the expression of its tuple-world value; a variable is a Var record."""
-    if isinstance(t, Var):
-        return f"Var({t.name!r})"
-    if isinstance(t, Prim):
-        return repr(t.value)
-    return _tuple_code([repr(t.ctor)] + [_term_code(a) for a in t.args])
+    return fold(
+        t,
+        lambda u: f"Var({u.name!r})" if isinstance(u, Var) else repr(u.value),
+        lambda u, args: _tuple_code([repr(u.ctor), *args]),
+    )
 
 
 def _tuple_code(items: list[str]) -> str:

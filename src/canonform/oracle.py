@@ -28,7 +28,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .acnf import Orientation, build_comb, comb, sort_combs, is_ac_normal
+from .acnf import Orientation, _recomb, build_comb, is_ac_normal, spine
 from .builder import CompiledFamily, construct
 from .errors import OracleError
 from .terms import (
@@ -37,12 +37,13 @@ from .terms import (
     Signature,
     Term,
     Var,
+    cache_hashes,
     compare,
     enumerate_ground,
     format_term,
-    positions,
+    map_vars,
+    preorder,
     require_enumerable,
-    subterm_at,
     tuples_of_size,
 )
 from .theory import (
@@ -210,11 +211,7 @@ def _match_syntactic(p: Term, t: Term, binding: dict[str, Term]) -> bool:
 
 
 def _instantiate(p: Term, binding: dict[str, Term]) -> Term:
-    if isinstance(p, Var):
-        return binding[p.name]
-    if isinstance(p, App):
-        return App(p.ctor, tuple(_instantiate(a, binding) for a in p.args))
-    return p
+    return map_vars(p, lambda v: binding[v.name])
 
 
 class _States:
@@ -267,16 +264,8 @@ class _States:
         # interned sides, r's non-variable node count and r's variable
         # occurrences: an instance's size is known before it is built
         l, r = self.intern(l), self.intern(r)
-        nodes, occurrences, stack = 0, [], [r]
-        while stack:
-            u = stack.pop()
-            if isinstance(u, Var):
-                occurrences.append(u.name)
-            else:
-                nodes += 1
-                if isinstance(u, App):
-                    stack += u.args
-        return l, r, nodes, occurrences
+        occurrences = [u.name for u in preorder(r) if isinstance(u, Var)]
+        return l, r, self.size[id(r)] - len(occurrences), occurrences
 
     def instance(self, r: Term, binding: dict[str, Term]) -> Term:
         done: list[Term] = []
@@ -436,12 +425,6 @@ def closure_equal(
 # redex search modulo AC
 
 
-def _flatten_term(C: str, t: Term) -> list[Term]:
-    if isinstance(t, App) and t.ctor == C:
-        return _flatten_term(C, t.args[0]) + _flatten_term(C, t.args[1])
-    return [t]
-
-
 def _submultisets(items: list[tuple[Term, int]]) -> Iterator[Counter]:
     # all non-empty sub-multisets, deterministic order
     ranges = [range(n + 1) for _, n in items]
@@ -477,8 +460,8 @@ def _ac_match(
         if not (isinstance(t, App) and t.ctor == p.ctor):
             return
         C = p.ctor
-        pleaves = _flatten_term(C, p)
-        tleaves = Counter(_flatten_term(C, t))
+        pleaves = spine(C, p)
+        tleaves = Counter(spine(C, t))
         yield from _ac_match_leaves(sig, orientation, C, pleaves, tleaves, binding)
         return
     if not (isinstance(t, App) and t.ctor == p.ctor and len(t.args) == len(p.args)):
@@ -505,7 +488,7 @@ def _ac_match_leaves(
     if isinstance(p, Var):
         bound = binding.get(p.name)
         if bound is not None:
-            need = Counter(_flatten_term(C, bound))
+            need = Counter(spine(C, bound))
             if all(remaining[k] >= n for k, n in need.items()):
                 yield from _ac_match_leaves(
                     sig, orientation, C, rest, remaining - need, binding
@@ -545,11 +528,13 @@ def find_redex(
 
     The term is re-combed and sorted first; with extension rules in the rule
     set, redex existence is invariant across AC-equal terms, so checking the
-    canonical comb's syntactic positions suffices.
+    canonical comb's syntactic subterms suffices.
     """
-    tc = sort_combs(sig, comb(t, orientation), orientation)
-    for pos in positions(tc):
-        sub = subterm_at(tc, pos)
+    if not rules:
+        return None
+    tc = _recomb(t, orientation, spine, sig)
+    cache_hashes(tc)  # the matcher's Counters hash its leaves
+    for sub in preorder(tc):
         for rule in rules:
             for _ in _ac_match(sig, orientation, rule.lhs, sub, {}):
                 return sub, rule

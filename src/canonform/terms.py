@@ -9,6 +9,7 @@ the total term order is built on.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -227,6 +228,43 @@ def compare(sig: Signature, t: Term, u: Term) -> int:
         t, u = pending.pop()
 
 
+def preorder(t: Term) -> Iterator[Term]:
+    """The subterms of t in preorder, the root first and then each argument
+    left to right.  One explicit stack, so no depth of t reaches Python's
+    recursion limit."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App):
+            stack += reversed(u.args)
+
+
+def fold(t: Term, leaf: Callable, node: Callable, args: Optional[Callable] = None):
+    """Left-to-right postorder fold of t: leaf(u) on each variable and
+    constant, node(u, values) on each App u, values being those of its
+    children in order.  The children are u.args, or args(u) if args is
+    given.  One loop with explicit stacks, so no depth of t reaches Python's
+    recursion limit."""
+    done: list = []  # values of the finished children, leftmost first
+    stack: list = [t]  # terms still to fold, and (node, child count) to finish
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:
+            u, n = u
+            k = len(done) - n
+            values = tuple(done[k:])
+            del done[k:]
+            done.append(node(u, values))
+        elif isinstance(u, App):
+            children = u.args if args is None else args(u)
+            stack.append((u, len(children)))
+            stack += reversed(children)
+        else:
+            done.append(leaf(u))
+    return done[0]
+
+
 def root_sort(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
     """Sort of t judged at its root alone, an App's arguments unchecked; None
     if the root is ill-sorted (variables allowed in patterns)."""
@@ -251,14 +289,11 @@ def sort_of(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
     result = root_sort(sig, t, pattern)
     if result is None:
         return None
-    stack = [t]  # nodes whose roots are well-sorted, arguments not yet checked
-    while stack:
-        u = stack.pop()
+    for u in preorder(t):  # the walk reaches a node after its root is checked
         if isinstance(u, App):
             for a, s in zip(u.args, sig.declaration(u.ctor).arg_sorts):
                 if root_sort(sig, a, pattern) != s:
                     return None
-                stack.append(a)
     return result
 
 
@@ -267,26 +302,12 @@ def well_sorted(sig: Signature, t: Term, pattern: bool = False) -> bool:
 
 
 def is_ground(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            return False
-        if isinstance(u, App):
-            stack += u.args
-    return True
+    return not any(isinstance(u, Var) for u in preorder(t))
 
 
 def size(t: Term) -> int:
     """Node count; primitive constants and variables count one."""
-    n = 0
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        n += 1
-        if isinstance(u, App):
-            stack += u.args
-    return n
+    return sum(1 for _ in preorder(t))
 
 
 def positions(t: Term) -> Iterator[Position]:
@@ -305,27 +326,12 @@ def positions(t: Term) -> Iterator[Position]:
 def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
     """t with every variable v replaced by f(v).  f is called on the
     variables in preorder (left to right); nodes with no variable below them
-    are kept, not rebuilt.  One loop with explicit stacks, so no depth of t
-    reaches Python's recursion limit."""
-    done: list[Term] = []  # finished subterms, left to right
-    stack: list = [t]  # terms still to walk, and (node, arity) to rebuild
-    while stack:
-        u = stack.pop()
-        if type(u) is tuple:
-            node, n = u
-            args = tuple(done[-n:])
-            del done[-n:]
-            if any(a is not b for a, b in zip(args, node.args)):
-                node = App(node.ctor, args)
-            done.append(node)
-        elif isinstance(u, Var):
-            done.append(f(u))
-        elif isinstance(u, App) and u.args:
-            stack.append((u, len(u.args)))
-            stack += reversed(u.args)
-        else:
-            done.append(u)
-    return done[0]
+    are kept, not rebuilt."""
+
+    def node(u: App, args: tuple) -> Term:
+        return u if all(map(operator.is_, args, u.args)) else App(u.ctor, args)
+
+    return fold(t, lambda u: f(u) if isinstance(u, Var) else u, node)
 
 
 def subterm_at(t: Term, pos: Position) -> Term:

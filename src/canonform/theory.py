@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import TheoryError
-from .terms import App, Prim, Signature, Term, Var, is_ground, sort_of
+from .terms import App, Signature, Term, Var, preorder, sort_of
 
 
 @dataclass(frozen=True)
@@ -160,15 +160,7 @@ def _head_ctor(t: Term) -> Optional[str]:
 
 
 def _pattern_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            out.add(u.name)
-        elif isinstance(u, App):
-            stack += u.args
-    return out
+    return {u.name for u in preorder(t) if isinstance(u, Var)}
 
 
 def validate_rule(sig: Signature, rule: RewriteRule) -> None:

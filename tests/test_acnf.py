@@ -14,8 +14,10 @@ import itertools
 import pytest
 
 from canonform import (
+    EQ,
     App,
     ShapeError,
+    Signature,
     build_comb,
     comb,
     compare,
@@ -23,6 +25,7 @@ from canonform import (
     leaves,
     sort_combs,
 )
+from canonform.acnf import spine
 
 from conftest import load, terms
 
@@ -116,6 +119,21 @@ def test_build_comb_inverts_leaves():
         assert leaves("Plus", u, "left") == list(parts)
 
 
+def reference_spine(ctor, t):
+    """acnf.spine as a plain recursion."""
+    if isinstance(t, App) and t.ctor == ctor:
+        return [leaf for a in t.args for leaf in reference_spine(ctor, a)]
+    return [t]
+
+
+def test_spine_reads_any_bracketing():
+    assert spine("Plus", plus(plus(A, B), plus(C, D))) == [A, B, C, D]
+    assert spine("Plus", plus(A, plus(B, plus(C, D)))) == [A, B, C, D]
+    assert spine("Plus", C) == [C]
+    for t in terms("exp", 7):
+        assert spine("Plus", t) == reference_spine("Plus", t)
+
+
 # --- sort_combs and is_ac_normal ---------------------------------------------
 
 
@@ -124,6 +142,13 @@ def test_sort_combs_examples(sig):
     assert sort_combs(sig, plus(B, plus(A, C)), RIGHT) == plus(A, plus(B, C))
     assert sort_combs(sig, plus(A, plus(B, C)), RIGHT) == plus(A, plus(B, C))
     assert sort_combs(sig, A, RIGHT) == A
+
+
+def test_sort_combs_rejects_a_non_comb(sig):
+    with pytest.raises(ShapeError, match="not a right Plus comb"):
+        sort_combs(sig, plus(plus(B, A), C), RIGHT)
+    with pytest.raises(ShapeError, match="not a left Plus comb"):
+        sort_combs(sig, App("Opp", (plus(A, plus(B, C)),)), LEFT)
 
 
 def test_sort_combs_matches_leaf_sort_oracle(sig):
@@ -180,3 +205,20 @@ def _arg_swaps(t):
         for swapped in _arg_swaps(arg):
             new_args = t.args[:i] + (swapped,) + t.args[i + 1 :]
             yield App(t.ctor, new_args)
+
+
+def test_ac_normal_forms_of_a_deep_leaf_without_recursion():
+    """P(L, S^100000(L)) and its mirror image, under the default recursion
+    limit, in both orientations: a two-leaf comb reads the same either way."""
+    syn = Signature("t", [("L", []), ("S", ["t"]), ("P", ["t", "t"])])
+    deep = App("L")
+    for _ in range(100_000):
+        deep = App("S", (deep,))
+    normal, swapped = App("P", (App("L"), deep)), App("P", (deep, App("L")))
+    for orientation in ({"P": "right"}, {"P": "left"}):
+        for t in (normal, swapped):
+            combed = comb(t, orientation)
+            assert compare(syn, combed, t) == EQ
+            assert compare(syn, sort_combs(syn, combed, orientation), normal) == EQ
+        assert is_ac_normal(syn, normal, orientation)
+        assert not is_ac_normal(syn, swapped, orientation)

@@ -19,6 +19,7 @@ import pytest
 from canonform import (
     App,
     Prim,
+    Var,
     builder,
     compare,
     compile_family,
@@ -314,6 +315,45 @@ def test_every_global_the_engine_uses_is_bound_in_the_generated_module(name):
     # each engine function is the builder's own code, compiled again
     for fn in ENGINE:
         assert ns[fn.__name__].__code__.co_code == fn.__code__.co_code
+
+
+def test_eval_rhs_calls_construct_in_recursive_order(monkeypatch):
+    """The loop makes the construct calls of a recursive left-to-right
+    evaluation, in the same order, in the builder and in a generated module."""
+    sig, spec = parse_definition(
+        "type t = A | B | S(t) | F(t, t) | P(t, t) | G(t, t)\n"
+        "with P: associative, commutative\n"
+        "rule G(x, y) -> F(P(S(x), y), F(S(S(y)), P(x, A)))"
+    )
+    fam = compile_family(sig, spec)
+    ns = exec_module(fam)
+    x, y = App("B"), App("P", (App("A"), App("S", (App("B"),))))
+    worlds = [  # (namespace, family, right-hand side, binding, is a variable, split)
+        (vars(builder), fam, fam.entries["G"].clauses[0].rhs, {"v1": x, "v2": y},
+         lambda t: isinstance(t, Var), lambda t: (t.ctor, t.args)),
+        (ns, ns["FAMILY"], ns["ENTRIES"]["G"].clauses[0].rhs,
+         {"v1": to_tuple(x), "v2": to_tuple(y)},
+         lambda t: isinstance(t, ns["Var"]), lambda t: (t[0], t[1:])),
+    ]
+    for world, family, rhs, binding, is_var, split in worlds:
+        calls = []
+        construct = world["construct"]
+
+        def spy(ctor, args, fam, table=None):
+            calls.append((ctor, args))
+            return construct(ctor, args, fam, table)
+
+        def reference(t):
+            if is_var(t):
+                return binding[t.name]
+            ctor, args = split(t)
+            return spy(ctor, tuple(map(reference, args)), family)
+
+        monkeypatch.setitem(world, "construct", spy)
+        expected = reference(rhs)
+        expected_calls, calls[:] = list(calls), []
+        assert world["_eval_rhs"](rhs, binding, family, None) == expected
+        assert calls == expected_calls and len(calls) >= 8
 
 
 RULE_FAMILIES = [

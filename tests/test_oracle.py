@@ -24,6 +24,7 @@ from canonform import (
     ClosureBudget,
     OracleError,
     Prim,
+    Var,
     builtin_presentation,
     classify,
     algebraic_equal,
@@ -384,6 +385,42 @@ def test_values_of_valid_family_are_redex_free():
     rules = builtin_presentation(th, sig)
     for t in terms("exp", 6):
         assert find_redex(sig, normalize(t, fam), rules, {"Plus": "right"}) is None
+
+
+def test_find_redex_without_rules_reads_no_term():
+    """With no rules there is nothing to find, so the term is not re-combed:
+    a pattern variable, which the term order rejects, goes unread."""
+    sig, _, _ = load("exp")
+    t = plus(App("One"), plus(Var("x", "exp"), ZERO))
+    assert find_redex(sig, t, [], {"Plus": "right"}) is None
+
+
+DEEP_REDEXES = {
+    "syn_group": App("P", (App("L"), App("N", (App("L"),)))),
+    "syn_nil": App("P", (App("L"), App("L"))),
+    "syn_idem": App("P", (App("L"), App("L"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_REDEXES))
+def test_find_redex_walks_deep_terms_without_recursion(name):
+    """The presentation's rules on P(L, S^100000(L)), a normal form, and on
+    the same term with a redex at the bottom of the chain, under the default
+    recursion limit."""
+    defs = pathlib.Path(__file__).parent.parent / "perfbench" / "defs"
+    sig, spec = parse_definition((defs / f"{name}.rdt").read_text())
+    fam = compile_family(sig, spec)
+    rules = oracle._presentation(fam, spec, sig)
+    orientation = fam.orientations()
+
+    def deep(bottom):
+        for _ in range(100_000):
+            bottom = App("S", (bottom,))
+        return App("P", (App("L"), bottom))
+
+    assert find_redex(sig, deep(App("L")), rules, orientation) is None
+    hit = find_redex(sig, deep(DEEP_REDEXES[name]), rules, orientation)
+    assert hit is not None and hit[0] == DEEP_REDEXES[name]
 
 
 # --- validate_family --------------------------------------------------------------

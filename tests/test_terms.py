@@ -42,6 +42,8 @@ from canonform import (
     well_sorted,
 )
 
+from canonform.terms import fold, map_vars, preorder
+
 from conftest import BAG, FIXTURES, bag_universe, load, terms
 
 
@@ -348,6 +350,74 @@ def test_size_and_positions_walk_deep_terms_without_recursion():
     assert size(deep) == n + 1
     first = list(itertools.islice(positions(deep), 3000))
     assert first == [(1,) * k for k in range(3000)]
+
+
+# --- the walk kit: preorder and fold ------------------------------------------
+
+
+def reference_preorder(t):
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from reference_preorder(a)
+
+
+def reference_fold(t, leaf, node, args=None):
+    if not isinstance(t, App):
+        return leaf(t)
+    children = t.args if args is None else args(t)
+    return node(t, tuple(reference_fold(a, leaf, node, args) for a in children))
+
+
+def logged_fold(fold_fn, t, args=None):
+    """fold_fn over t with callbacks that log every call in order."""
+    log = []
+
+    def leaf(u):
+        log.append(("leaf", u))
+        return format_term(u)
+
+    def node(u, values):
+        log.append(("node", u, values))
+        return f"{u.ctor}[{' '.join(values)}]"
+
+    return fold_fn(t, leaf, node, args), log
+
+
+def backwards(u):
+    return u.args[::-1]
+
+
+WALKED = [
+    App("F", (Var("x", "t"), Prim("int", 3), App("G", (App("E"), Prim("string", "s"))))),
+    Var("x", "t"),
+    Prim("int", -1),
+    App("E"),
+]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.rdt")), ids=lambda p: p.stem)
+def test_preorder_and_fold_agree_with_the_recursive_walks(path):
+    sig, _ = parse_definition(path.read_text())
+    for t in [*enumerate_ground(sig, sig.rdt_sort, 6), *WALKED]:
+        assert list(preorder(t)) == list(reference_preorder(t))
+        assert logged_fold(fold, t) == logged_fold(reference_fold, t)
+        assert logged_fold(fold, t, backwards) == logged_fold(reference_fold, t, backwards)
+
+
+def test_preorder_fold_and_map_vars_walk_deep_terms_without_recursion():
+    """Under the default recursion limit, a 100,000-deep chain as the second
+    argument; its variable at the bottom is the last node in preorder."""
+    n = 100_000
+    t = App("P", (App("L"), s_chain(n, Var("x", "t"))))
+    nodes = list(preorder(t))
+    assert len(nodes) == n + 3 and nodes[0] is t and nodes[1] == App("L")
+    assert nodes[-1] == Var("x", "t")
+    depth = fold(t, lambda u: 1, lambda u, depths: 1 + max(depths, default=0))
+    assert depth == n + 2
+    u = map_vars(t, lambda v: App("L"))
+    assert compare(SYN, u, App("P", (App("L"), s_chain(n)))) == EQ
+    assert size(t) == n + 3 and not is_ground(t) and is_ground(u)
 
 
 # --- enumeration -----------------------------------------------------------

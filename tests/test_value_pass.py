@@ -197,6 +197,31 @@ def test_check_accepts_deep_rules(tmp_path, capsys, rule):
     assert captured.err == ""
 
 
+# an expression to normalize under each deep rule, and its normal form
+DEEP_NORMS = [
+    ("C(E, E)", "S(" * 600 + "E" + ")" * 600),
+    ("C(" + "S(" * 1500 + "E" + ")" * 1500 + ", E)", "E"),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, norm", zip(DEEP_RULES, DEEP_NORMS), ids=["rhs_600_deep", "lhs_1500_deep"]
+)
+def test_emit_and_norm_take_deep_rules(tmp_path, capsys, rule, norm):
+    """Printing a deep rule, matching its left-hand side and building its
+    right-hand side need no deep recursion."""
+    path = tmp_path / "deep.rdt"
+    path.write_text(f"type t = E | S(t) | C(t, t)\n\n{rule}\n")
+    for fmt in ("report", "code"):
+        code = cli.main(["emit", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), fmt
+    expr, expected = norm
+    code = cli.main(["norm", str(path), "-e", expr])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected + "\n", "")
+
+
 def test_linearize_names_a_deep_pattern_in_preorder():
     depth = 20_000
     t = Var("x", "t")
