@@ -593,24 +593,32 @@ def normalize(
     table every node goes through construct, which interns it.
     """
     sig = fam.sig
+    rdt, arg_sorts = sig.rdt_sort, sig.arg_sorts
     # One walk checks the term and lists its nodes in preorder, arguments
     # pushed left to right, so that the reversed list is the left-to-right
-    # postorder in which a recursive fold would construct.  A variable
-    # anywhere outranks an ill-sorted node.
-    well_sorted = root_sort(sig, t) is not None
+    # postorder in which a recursive fold would construct.  Each App is
+    # checked once, as a node: its constructor and arity, and its children's
+    # sorts, an App child being of the data sort (its own check comes when
+    # the walk reaches it).  A variable anywhere outranks an ill-sorted node.
+    well_sorted = type(t) is App or root_sort(sig, t) is not None
     order = []
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Var):
-            raise SortError("normalize takes ground terms")
         order.append(u)
-        if isinstance(u, App):
-            stack += u.args
+        if type(u) is App:
+            args = u.args
+            stack += args
             if well_sorted:
-                for a, s in zip(u.args, sig.declaration(u.ctor).arg_sorts):
-                    if root_sort(sig, a) != s:
-                        well_sorted = False
+                sorts = arg_sorts.get(u.ctor)
+                if sorts is None or len(sorts) != len(args):
+                    well_sorted = False
+                else:
+                    for a, s in zip(args, sorts):
+                        if (s != rdt) if type(a) is App else (root_sort(sig, a) != s):
+                            well_sorted = False
+        elif isinstance(u, Var):
+            raise SortError("normalize takes ground terms")
     if not well_sorted:
         raise SortError(f"ill-sorted term: {t}")
 

@@ -27,7 +27,6 @@ class HashConsTable:
         self.sig = sig
         self._ids: dict[Term, NodeId] = {}
         self._terms: list[Term] = []
-        self._arg_sorts = {d.name: d.arg_sorts for d in sig.constructors}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -40,7 +39,7 @@ class HashConsTable:
 
     def _check(self, ctor: str, args: tuple[Term, ...]) -> None:
         """Arity and argument sorts of ctor applied to interned terms."""
-        sorts = self._arg_sorts.get(ctor)
+        sorts = self.sig.arg_sorts.get(ctor)
         if sorts is None:
             self.sig.declaration(ctor)  # raises SignatureError: unknown constructor
         if len(args) != len(sorts):

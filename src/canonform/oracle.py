@@ -528,14 +528,20 @@ def find_redex(
 
     The term is re-combed and sorted first; with extension rules in the rule
     set, redex existence is invariant across AC-equal terms, so checking the
-    canonical comb's syntactic subterms suffices.
+    canonical comb's syntactic subterms suffices.  A left-hand side headed
+    by a constructor matches only subterms headed by it, so each subterm
+    tries only the rules of its own head, in their given order.
     """
     if not rules:
         return None
+    by_head: dict[Optional[str], list[RewriteRule]] = {}
+    for rule in rules:
+        by_head.setdefault(getattr(rule.lhs, "ctor", None), []).append(rule)
+    grouped = None not in by_head  # a variable or constant left-hand side matches anywhere
     tc = _recomb(t, orientation, spine, sig)
     cache_hashes(tc)  # the matcher's Counters hash its leaves
     for sub in preorder(tc):
-        for rule in rules:
+        for rule in by_head.get(getattr(sub, "ctor", None), ()) if grouped else rules:
             for _ in _ac_match(sig, orientation, rule.lhs, sub, {}):
                 return sub, rule
     return None

@@ -59,20 +59,46 @@ class Prim:
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App:
     """Constructor application; nullary constructors have an empty args tuple.
 
     The structural hash is computed on first use and cached on the instance.
     The arguments' hashes are cached too, so hashing a node costs O(arity)
     however large the term; that keeps dict and set lookups (hash-consing,
-    the oracles' term sets) from rewalking whole subterms.
+    the oracles' term sets) from rewalking whole subterms.  Equality walks
+    both terms in one loop: identical subterms are equal at once, and two
+    nodes whose hashes are both cached and differ are unequal at once.
     """
 
     ctor: str
     args: tuple["Term", ...] = ()
 
     _hash = None  # class default, deliberately not a dataclass field
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not App:
+            return NotImplemented
+        t, u = self, other
+        pending = []  # pairs of App arguments still to compare
+        while True:
+            h, k = t._hash, u._hash
+            if h is not None and k is not None and h != k:
+                return False
+            targs, uargs = t.args, u.args
+            if t.ctor != u.ctor or len(targs) != len(uargs):
+                return False
+            if not all(map(operator.is_, targs, uargs)):
+                for a, b in zip(targs, uargs):
+                    if a is b:
+                        continue
+                    if type(a) is App and type(b) is App:
+                        pending.append((a, b))
+                    elif a != b:  # a constant or a variable on one side: its own equality
+                        return False
+            if not pending:
+                return True
+            t, u = pending.pop()
 
     def __hash__(self) -> int:
         h = self._hash
@@ -124,7 +150,8 @@ class Signature:
 
     ``constructors`` is a sequence of ``(name, arg_sorts)`` pairs; every
     constructor produces the distinguished sort.  Argument sorts may be the
-    data sort itself or a primitive type name.
+    data sort itself or a primitive type name.  ``arg_sorts`` maps each
+    constructor's name to its argument sorts.
     """
 
     def __init__(self, rdt_sort: str, constructors: Sequence[tuple[str, Sequence[str]]]):
@@ -140,6 +167,7 @@ class Signature:
         self.constructors: tuple[ConstructorDecl, ...] = tuple(decls)
         self._decl: dict[str, ConstructorDecl] = {}
         self._index: dict[str, int] = {}
+        self.arg_sorts: dict[str, tuple[str, ...]] = {}
         for i, d in enumerate(self.constructors):
             if d.name in self._decl:
                 raise SignatureError(f"duplicate constructor {d.name!r}")
@@ -148,6 +176,7 @@ class Signature:
                     raise SignatureError(f"unknown sort {s!r} in constructor {d.name!r}")
             self._decl[d.name] = d
             self._index[d.name] = i
+            self.arg_sorts[d.name] = d.arg_sorts
 
     def __contains__(self, name: str) -> bool:
         return name in self._decl

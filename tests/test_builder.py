@@ -50,7 +50,7 @@ from canonform import (
 from canonform import builder
 from canonform.emit import emit_code
 
-from conftest import load, terms
+from conftest import BAG, bag_universe, load, terms
 
 ZERO, ONE = App("Zero"), App("One")
 
@@ -502,6 +502,33 @@ def test_normalize_reports_a_variable_before_an_ill_sorted_node():
     with pytest.raises(SortError, match="ground terms"):
         normalize(App("Cons", (Var("n", "int"), App("Nope"))), cell)
 
+
+
+def test_normalize_sort_check_agrees_with_sort_of():
+    """Checking each node once against its constructor's argument sorts
+    rejects exactly the ground terms sort_of rejects: unknown constructors,
+    wrong arities, constants of the wrong type and bool constants, at the
+    root or below an App child."""
+    sig, spec = parse_definition(BAG)
+    bag = compile_family(sig, spec)
+    odd = [Prim("int", True), Prim("real", "1.5"), App("Q"), App("I"), App("U", (App("I"),))]
+    pool = bag_universe()[::3] + odd
+    universe = pool + [
+        App(c, args)
+        for c in ("I", "S", "U", "Q")
+        for n in (1, 2)
+        for args in itertools.product(pool[-8:], repeat=n)
+    ]
+    rejected = 0
+    for t in universe:
+        for u in (t, App("U", (t, t)), App("U", (App("S", (Prim("string", "a"),)), t))):
+            if sort_of(sig, u) is None:
+                rejected += 1
+                with pytest.raises(SortError, match="ill-sorted term"):
+                    normalize(u, bag)
+            else:
+                assert normalize(u, bag) is not None
+    assert 0 < rejected < 3 * len(universe)
 
 def test_delete_examples(exp):
     _, fam = exp

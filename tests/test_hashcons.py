@@ -358,3 +358,29 @@ def test_sharing_normalizes_a_large_balanced_sum_without_recursion():
     assert fresh.sharing_stats() == counts
     nodes, edges = table.sharing_stats()  # partial sums are interned too
     assert nodes >= counts[0] and edges >= counts[1]
+
+
+def test_sharing_normalizes_a_sum_of_a_large_sum_with_itself():
+    """P(X, X), X a balanced 300-leaf sum: looking up a rebuilt comb that
+    equals an interned one compares the two without recursion."""
+    sig, spec = parse_definition("type t = L | S(t) | P(t, t)\nwith P: associative, commutative")
+    fam = compile_family(sig, spec)
+    rng = random.Random(300)
+
+    def s_power(k):
+        t = App("L")
+        for _ in range(k):
+            t = App("S", (t,))
+        return t
+
+    def balanced(leaves):
+        while len(leaves) > 1:
+            leaves = [
+                App("P", tuple(leaves[i : i + 2])) if i + 1 < len(leaves) else leaves[i]
+                for i in range(0, len(leaves), 2)
+            ]
+        return leaves[0]
+
+    x = balanced([s_power(rng.randrange(20)) for _ in range(300)])
+    shared = normalize(App("P", (x, x)), fam, HashConsTable(sig))
+    assert shared == normalize(App("P", (x, x)), fam)

@@ -38,9 +38,10 @@ from canonform import (
     semantic_key,
     validate_family,
 )
+import canonform.acnf as acnf
 import canonform.builder as builder
 import canonform.oracle as oracle
-from canonform.terms import _splice, positions, size, subterm_at
+from canonform.terms import _splice, cache_hashes, positions, preorder, size, subterm_at
 
 from conftest import load, terms
 
@@ -516,3 +517,51 @@ def test_validate_type1_with_ample_budget_is_clean():
         fam, spec, sig, max_size=6, budget=ClosureBudget(max_steps=40000)
     )
     assert report.ok
+
+
+def _ungrouped_find_redex(sig, t, rules, orientation):
+    """find_redex as a plain double loop: every rule at every subterm."""
+    tc = acnf._recomb(t, orientation, acnf.spine, sig)
+    cache_hashes(tc)
+    for sub in preorder(tc):
+        for rule in rules:
+            for _ in oracle._ac_match(sig, orientation, rule.lhs, sub, {}):
+                return sub, rule
+    return None
+
+
+def _same_hit(a, b):
+    return a is b or (a is not None and b is not None and a[0] == b[0] and a[1] is b[1])
+
+
+@pytest.mark.parametrize("name", ["vec", "left_group", "exp", "aci", "acnil", "free", "neu_rules"])
+def test_find_redex_grouped_by_head_agrees_with_the_plain_loop(name):
+    """Trying at each subterm only the rules of its head constructor finds
+    the same (subterm, rule) as trying every rule, on every term up to size
+    6 and on its value."""
+    sig, spec, fam = load(name)
+    rules = oracle._presentation(fam, spec, sig)
+    orientation = fam.orientations()
+    hits = 0
+    for t in terms(name, 6):
+        for u in (t, normalize(t, fam)):
+            hit = find_redex(sig, u, rules, orientation)
+            assert _same_hit(hit, _ungrouped_find_redex(sig, u, rules, orientation)), u
+            hits += hit is not None
+    assert hits > 0 or not rules
+
+
+def test_find_redex_grouped_by_head_agrees_on_a_deep_term():
+    defs = pathlib.Path(__file__).parent.parent / "perfbench" / "defs"
+    sig, spec = parse_definition((defs / "syn_group.rdt").read_text())
+    fam = compile_family(sig, spec)
+    rules = oracle._presentation(fam, spec, sig)
+    orientation = fam.orientations()
+    for bottom in (App("L"), DEEP_REDEXES["syn_group"]):
+        t = bottom
+        for _ in range(100_000):
+            t = App("S", (t,))
+        t = App("P", (App("L"), t))
+        hit = find_redex(sig, t, rules, orientation)
+        assert _same_hit(hit, _ungrouped_find_redex(sig, t, rules, orientation))
+    assert hit is not None

@@ -246,6 +246,23 @@ CELL = (
          "3:3: error[sort]: 'Nil' builds sort 'cell', expected 'int'"),
         ("cell", "Pair(Nil,\n  Cons(1, Nil) # tail\n  ) Nil",
          "3:5: error[syntax]: trailing input after term"),
+        # an unexpected character anywhere beats an earlier syntax or sort error
+        ("exp", "Plus(One Zero) $", "1:16: error[syntax]: unexpected character '$'"),
+        ("exp", "Plus(Succ, One) -", "1:17: error[syntax]: unexpected character '-'"),
+        ("exp", "Opp(One) \u00e9", "1:10: error[syntax]: unexpected character '\u00e9'"),
+        # a lone quote at the end, a comment with no newline after it
+        ("exp", 'Plus(One, One) "', "1:16: error[syntax]: unexpected character '\"'"),
+        ("exp", '"', "1:1: error[syntax]: unexpected character '\"'"),
+        ("exp", "Plus(One, # no newline", "1:23: error[syntax]: expected a term"),
+        ("exp", "Plus(Succ, One) # tail",
+         "1:1: error[unknown-constructor]: unknown constructor 'Succ'"),
+        # CRLF line ends and non-ASCII whitespace
+        ("exp", "Plus(One,\r\n  One) Zero", "2:8: error[syntax]: trailing input after term"),
+        ("exp", "Plus(One,\r\n  x)",
+         "2:3: error[variable-in-ground-term]: variable 'x' not allowed in a ground term"),
+        ("exp", "Plus(One,\u00a0One) Zero", "1:16: error[syntax]: trailing input after term"),
+        ("exp", "Plus(One,\u00a0x)",
+         "1:11: error[variable-in-ground-term]: variable 'x' not allowed in a ground term"),
     ],
 )
 def test_ground_term_diagnostics_are_pinned(which, text, rendered):
@@ -315,6 +332,22 @@ def test_ground_term_diagnostics_are_pinned(which, text, rendered):
          "3:6: error[unknown-constructor]: unknown constructor 'B'"),
         ("M", "rule M(x, A) -> x\n# second\nrule\n  M(A, x) -> w",
          "5:3: error[rule-vars]: rule right-hand side uses unbound variables ['w']"),
+        # an unexpected character anywhere beats an earlier syntax or sort error
+        ("M", "rule M(A A) -> A $", "2:18: error[syntax]: unexpected character '$'"),
+        ("M", "rule M(B, A) -> A -", "2:19: error[syntax]: unexpected character '-'"),
+        # a lone quote at the end, a comment with no newline after it
+        ("M", 'rule M(x, A) -> x "', "2:19: error[syntax]: unexpected character '\"'"),
+        ("M", "rule M(x, A) -> # no newline", "2:29: error[syntax]: expected a term"),
+        ("M", "rule M(B, A) -> A # tail",
+         "2:6: error[unknown-constructor]: unknown constructor 'B'"),
+        # CRLF line ends and non-ASCII whitespace
+        ("M", "rule M(x,\r\n  A) -> y",
+         "2:6: error[rule-vars]: rule right-hand side uses unbound variables ['y']"),
+        ("M", "rule M(x, A)\r\n -> x ->",
+         "3:7: error[syntax]: expected 'with', 'rule', or end of file"),
+        ("M", "rule M(x,\u00a0A) -> y",
+         "2:6: error[rule-vars]: rule right-hand side uses unbound variables ['y']"),
+        ("M", "rule M(x, A) -> x\u00a0rule", "2:23: error[syntax]: expected a term"),
     ],
 )
 def test_rule_diagnostics_are_pinned(which, text, rendered):

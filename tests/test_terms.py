@@ -42,7 +42,7 @@ from canonform import (
     well_sorted,
 )
 
-from canonform.terms import fold, map_vars, preorder
+from canonform.terms import cache_hashes, fold, map_vars, preorder
 
 from conftest import BAG, FIXTURES, bag_universe, load, terms
 
@@ -522,3 +522,33 @@ def test_app_hash_is_cached_and_not_pickled():
         # a cached string hash would be wrong in another interpreter
         assert "_hash" not in vars(copied)
         assert copied == t and hash(copied) == h
+
+
+def _chain(bottom, n=100_000):
+    for _ in range(n):
+        bottom = App("S", (bottom,))
+    return bottom
+
+
+def test_equality_walks_deep_terms_without_recursion():
+    """== on two separately built S^100000(L), under the default recursion
+    limit: equal, and unequal where the bottom or the depth differs, whether
+    or not the hashes are cached."""
+    a, b = _chain(App("L")), _chain(App("L"))
+    assert a is not b and a == b and not a != b
+    other, shorter = _chain(App("Z")), _chain(App("L"), 99_999)
+    assert a != other and a != shorter and shorter != a
+    assert a != _chain(Prim("int", 1)) and _chain(Prim("int", 1)) == _chain(Prim("int", 1))
+    for t in (a, b, other):
+        cache_hashes(t)
+    assert a == b and a != other
+
+
+def test_equality_agrees_with_the_printed_form():
+    universe = list(terms("exp", 5)) + bag_universe()
+    twins = [pickle.loads(pickle.dumps(t)) for t in universe]
+    for t in universe:
+        for u in twins:
+            assert (t == u) == (format_term(t) == format_term(u)), (t, u)
+    assert App("L") != Prim("string", "L") and Prim("string", "L") != App("L")
+    assert App("U", (Prim("int", 1),)) != App("U", (Prim("int", True),))
