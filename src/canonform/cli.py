@@ -13,6 +13,7 @@ as `line:col: error[code]: message` (position omitted where none applies).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -101,6 +102,7 @@ def cmd_emit(fam: CompiledFamily, fmt: str) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing reads it, never changes it
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="canonform",

@@ -2,10 +2,12 @@
 
 Two oracles:
 
-* exact algebraic interpretations for the catalog theories (integer vectors
-  for groups, sets for idempotence, parity with absorber tracking for
-  nilpotence, multisets for plain AC), combined recursively across disjoint
-  theories;
+* exact algebraic interpretations for the catalog theories: one loop reads
+  each AC spine into a signed multiset of leaf keys, and the variant's law
+  reduces it (nonzero counts for groups, counts for plain AC, the distinct
+  leaves for idempotence, parity plus one absorber for nilpotence).  Only
+  constructors outside an AC theory recurse, so a sum of any length costs
+  no recursion;
 * a bounded closure of the equations, a sound semi-decision procedure that
   answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
   a table local to the call, so equal terms are one object: states are
@@ -47,6 +49,8 @@ from .terms import (
     tuples_of_size,
 )
 from .theory import (
+    IDEM_VARIANTS,
+    NIL_VARIANTS,
     Classification,
     RewriteRule,
     TheorySpec,
@@ -82,82 +86,42 @@ def semantic_key(cl: Classification, sig: Signature, t: Term):
     return _theory_key(cl, sig, th, t)
 
 
-def _atom_key(cl: Classification, sig: Signature, th: Type2Theory, t: Term):
-    # leaves of th's spine; the theory's own nullary symbols stay opaque
-    if isinstance(t, App) and t.ctor in (th.unit, th.absorber) and t.ctor is not None:
-        return ("f", t.ctor, ())
-    return semantic_key(cl, sig, t)
-
-
 def _theory_key(cl: Classification, sig: Signature, th: Type2Theory, t: Term):
-    unit_key = ("f", th.unit, ()) if th.unit is not None else None
-
-    def set_key(tag: str, keys):
-        # a leaf set: empty is the unit, a single leaf stands for itself
-        if not keys:
-            return unit_key
-        if len(keys) == 1:
-            return next(iter(keys))
-        return (tag, th.ctor, frozenset(keys))
-
-    if th.variant is Variant.GROUP:
-        vec: Counter = Counter()
-
-        def grp(s: Term, sign: int) -> None:
-            if isinstance(s, App) and s.ctor == th.unit:
-                return
-            if isinstance(s, App) and s.ctor == th.inverse:
-                grp(s.args[0], -sign)
-            elif isinstance(s, App) and s.ctor == th.ctor:
-                grp(s.args[0], sign)
-                grp(s.args[1], sign)
-            else:
-                vec[semantic_key(cl, sig, s)] += sign
-
-        grp(t, 1)
-        vec = Counter({k: n for k, n in vec.items() if n != 0})
-        if not vec:
-            return unit_key
-        if len(vec) == 1:
-            (k, n), = vec.items()
-            if n == 1:
-                return k
-        return ("g", th.ctor, frozenset(vec.items()))
-
-    # the remaining variants all flatten the spine into a leaf collection
+    # One loop reads th's spine into a signed multiset of leaf keys: the
+    # unit drops out, an inverse flips the sign of its argument, and the
+    # absorber stays opaque.  The variant's law then reduces the multiset.
+    own = th.symbols()
     bag: Counter = Counter()
-
-    def flat(s: Term) -> None:
-        if th.unit is not None and isinstance(s, App) and s.ctor == th.unit:
-            return
-        if isinstance(s, App) and s.ctor == th.ctor:
-            flat(s.args[0])
-            flat(s.args[1])
-        else:
-            bag[_atom_key(cl, sig, th, s)] += 1
-
-    flat(t)
-
-    if th.variant is Variant.AC:
-        if sum(bag.values()) == 1:
-            return next(iter(bag))
-        return ("m", th.ctor, frozenset(bag.items()))
-
-    if th.variant in (Variant.ACI, Variant.ACI_NEU):
-        return set_key("s", bag.keys())
-
-    # nilpotent: every equal pair of leaves turns into one absorber, and any
-    # positive number of absorbers collapses to one
-    a_key = ("f", th.absorber, ())
-    if th.absorber == th.unit:
-        # the absorber is the unit: pairs vanish entirely, pure parity
-        return set_key("n", {k for k, n in bag.items() if n % 2 == 1})
-    absorbers = bag.pop(a_key, 0)
-    has_a = absorbers >= 1 or any(n >= 2 for n in bag.values())
-    keys = {k for k, n in bag.items() if n % 2 == 1}
-    if has_a:
-        keys.add(a_key)
-    return set_key("n", keys)  # empty only with a distinct unit present
+    stack = [(t, 1)]
+    while stack:
+        s, sign = stack.pop()
+        if not isinstance(s, App) or s.ctor not in own:
+            bag[semantic_key(cl, sig, s)] += sign
+        elif s.ctor == th.ctor:
+            stack += ((s.args[1], sign), (s.args[0], sign))
+        elif s.ctor == th.inverse:
+            stack.append((s.args[0], -sign))
+        elif s.ctor != th.unit:  # the absorber
+            bag[("f", s.ctor, ())] += sign
+    if th.variant is Variant.GROUP:
+        bag = {k: n for k, n in bag.items() if n}
+    elif th.variant in IDEM_VARIANTS:
+        bag = dict.fromkeys(bag, 1)
+    elif th.variant in NIL_VARIANTS:
+        # equal leaves pair off into the absorber, and absorbers collapse to
+        # one; an absorber that is the unit vanishes
+        a_key = ("f", th.absorber, ())
+        paired = bag.pop(a_key, 0) > 0 or any(n > 1 for n in bag.values())
+        bag = {k: 1 for k, n in bag.items() if n % 2}
+        if paired and th.absorber != th.unit:
+            bag[a_key] = 1
+    if not bag:
+        return ("f", th.unit, ())
+    if len(bag) == 1:
+        (k, n), = bag.items()
+        if n == 1:
+            return k  # a single leaf stands for itself
+    return (th.variant.value, th.ctor, frozenset(bag.items()))
 
 
 def algebraic_equal(cl: Classification, sig: Signature, t: Term, u: Term) -> bool:

@@ -214,7 +214,12 @@ def _term(p: _Parser, sig: Signature, env: Optional[dict[str, str]]):
             if exp != "string" and err is None:
                 err = (node, f"{t} is not of sort {exp!r}", "sort")
         elif c.isdecimal() or (c == "-" and word[1:2].isdecimal()):
-            t = Prim("int", int(word))
+            try:
+                value = int(word)
+            except ValueError:  # past the interpreter's int-string limit
+                message = f"integer literal of {len(word) - (c == '-')} digits is too long"
+                raise _fail(text, i - 1, message) from None
+            t = Prim("int", value)
             if exp != "int" and err is None:
                 err = (node, f"{t} is not of sort {exp!r}", "sort")
         else:

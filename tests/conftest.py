@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from canonform import (
     App,
@@ -49,3 +51,11 @@ def bag_universe() -> list:
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES
+
+
+# Hypothesis example counts: small in the tier-1 run, larger where the
+# environment selects the ci profile (HYPOTHESIS_PROFILE=ci).  Tests that set
+# max_examples themselves keep their own count.
+settings.register_profile("default", max_examples=15, deadline=None)
+settings.register_profile("ci", max_examples=150, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -211,6 +211,39 @@ def test_norm_requires_an_expression(capsys):
         cli.main(["norm", str(FIXTURES / "exp.rdt")])
 
 
+def _outcome(capsys, argv):
+    # exit code (main's return or argparse's SystemExit), stdout, stderr
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_successive_calls_as_a_fresh_one_would(capsys):
+    """main builds its parser once per process: a norm, a usage error and a
+    check in a row print exactly what each prints from a fresh parser."""
+    exp = str(FIXTURES / "exp.rdt")
+    calls = [
+        ["norm", exp, "-e", "Plus(One, Opp(One))"],
+        ["norm", exp, "-e", "One", "--bogus"],
+        ["check", exp],
+    ]
+    cli._build_parser.cache_clear()
+    in_a_row = [_outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert in_a_row == fresh
+    assert in_a_row[0] == (0, "Zero\n", "")
+    code, out, err = in_a_row[1]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: canonform") and "unrecognized arguments: --bogus" in err
+    assert in_a_row[2][0] == 0 and "Plus: abelian-group" in in_a_row[2][1]
+
+
 # --- running as a module -------------------------------------------------------------
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -31,11 +32,13 @@ from canonform import (
     closure_classes,
     closure_equal,
     compile_family,
+    enumerate_ground,
     equations_of,
     find_redex,
     normalize,
     parse_definition,
     semantic_key,
+    Variant,
     validate_family,
 )
 import canonform.acnf as acnf
@@ -565,3 +568,197 @@ def test_find_redex_grouped_by_head_agrees_on_a_deep_term():
         hit = find_redex(sig, t, rules, orientation)
         assert _same_hit(hit, _ungrouped_find_redex(sig, t, rules, orientation))
     assert hit is not None
+
+
+# --- the interpretation as one signed leaf multiset ------------------------------
+# semantic_key as it was before one loop read every theory: a recursive walk
+# per variant and one key encoding each.  Its keys have another shape, so the
+# new keys must induce the same partition: equal exactly when these are.
+
+
+def reference_semantic_key(cl, sig, t):
+    if isinstance(t, Var):
+        raise OracleError("interpretation of non-ground term")
+    if isinstance(t, Prim):
+        return ("p", t.ptype, t.value)
+    if t.ctor in cl.type1:
+        raise OracleError(f"no algebraic interpretation for rule-defined constructor {t.ctor!r}")
+    th = cl.owner.get(t.ctor)
+    if th is None:
+        return ("f", t.ctor, tuple(reference_semantic_key(cl, sig, a) for a in t.args))
+    return reference_theory_key(cl, sig, th, t)
+
+
+def reference_atom_key(cl, sig, th, t):
+    if isinstance(t, App) and t.ctor in (th.unit, th.absorber) and t.ctor is not None:
+        return ("f", t.ctor, ())
+    return reference_semantic_key(cl, sig, t)
+
+
+def reference_theory_key(cl, sig, th, t):
+    unit_key = ("f", th.unit, ()) if th.unit is not None else None
+
+    def set_key(tag, keys):
+        if not keys:
+            return unit_key
+        if len(keys) == 1:
+            return next(iter(keys))
+        return (tag, th.ctor, frozenset(keys))
+
+    if th.variant is Variant.GROUP:
+        vec = Counter()
+
+        def grp(s, sign):
+            if isinstance(s, App) and s.ctor == th.unit:
+                return
+            if isinstance(s, App) and s.ctor == th.inverse:
+                grp(s.args[0], -sign)
+            elif isinstance(s, App) and s.ctor == th.ctor:
+                grp(s.args[0], sign)
+                grp(s.args[1], sign)
+            else:
+                vec[reference_semantic_key(cl, sig, s)] += sign
+
+        grp(t, 1)
+        vec = Counter({k: n for k, n in vec.items() if n != 0})
+        if not vec:
+            return unit_key
+        if len(vec) == 1:
+            (k, n), = vec.items()
+            if n == 1:
+                return k
+        return ("g", th.ctor, frozenset(vec.items()))
+
+    bag = Counter()
+
+    def flat(s):
+        if th.unit is not None and isinstance(s, App) and s.ctor == th.unit:
+            return
+        if isinstance(s, App) and s.ctor == th.ctor:
+            flat(s.args[0])
+            flat(s.args[1])
+        else:
+            bag[reference_atom_key(cl, sig, th, s)] += 1
+
+    flat(t)
+    if th.variant is Variant.AC:
+        if sum(bag.values()) == 1:
+            return next(iter(bag))
+        return ("m", th.ctor, frozenset(bag.items()))
+    if th.variant in (Variant.ACI, Variant.ACI_NEU):
+        return set_key("s", bag.keys())
+    a_key = ("f", th.absorber, ())
+    if th.absorber == th.unit:
+        return set_key("n", {k for k, n in bag.items() if n % 2 == 1})
+    absorbers = bag.pop(a_key, 0)
+    has_a = absorbers >= 1 or any(n >= 2 for n in bag.values())
+    keys = {k for k, n in bag.items() if n % 2 == 1}
+    if has_a:
+        keys.add(a_key)
+    return set_key("n", keys)
+
+
+SYN_DEFS = pathlib.Path(__file__).parent.parent / "perfbench" / "defs"
+
+# Theories no accepted fixture declares, with Z the unit, O the absorber and
+# N the inverse where a row has them.
+PARTITION_TYPES = {
+    "aci_neu": "type t = Z | A | B | S(t) | P(t, t)\n"
+    "with P: associative, commutative, neutral(Z), idempotent",
+    "acnil_neu": "type t = Z | O | A | B | S(t) | P(t, t)\n"
+    "with P: associative, commutative, neutral(Z), nilpotent(O)",
+    "acnil_unit": "type t = Z | A | B | S(t) | P(t, t)\n"
+    "with P: associative, commutative, neutral(Z), nilpotent(Z)",
+    "group_and_nil": "type t = Z | O | A | N(t) | P(t, t) | X(t, t)\n"
+    "with P: associative, commutative, neutral(Z), inverse(N)\n"
+    "with X: associative left, commutative, nilpotent(O)",
+}
+
+
+def partition_family(name):
+    if name in PARTITION_TYPES:
+        text = PARTITION_TYPES[name]
+    elif (SYN_DEFS / f"{name}.rdt").exists():
+        text = (SYN_DEFS / f"{name}.rdt").read_text()
+    else:
+        return load(name)[:2]
+    return parse_definition(text)
+
+
+def _key_or_error(key, cl, sig, t):
+    try:
+        return key(cl, sig, t)
+    except OracleError as e:
+        return ("error", str(e))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "aci", "acnil", "exp", "free", "left_group", "neu_rules", "vec",
+        "syn_ac", "syn_group", "syn_idem", "syn_left_group", "syn_nil",
+        *PARTITION_TYPES,
+    ],
+)
+def test_signed_multiset_keys_induce_the_recursive_partition(name):
+    sig, spec = partition_family(name)
+    cl = classify(spec, sig)
+    pairs = set()
+    for t in enumerate_ground(sig, sig.rdt_sort, 7):
+        ref = _key_or_error(reference_semantic_key, cl, sig, t)
+        new = _key_or_error(semantic_key, cl, sig, t)
+        if "error" in (ref[0], new[0]):
+            assert ref == new, t  # the same OracleError
+        pairs.add((ref, new))
+    # equal new keys exactly when the reference keys are equal: a bijection
+    assert len({ref for ref, _ in pairs}) == len(pairs) == len({new for _, new in pairs})
+
+
+def _balanced(leaves):
+    while len(leaves) > 1:
+        pairs = [App("P", tuple(leaves[i:i + 2])) for i in range(0, len(leaves) - 1, 2)]
+        leaves = pairs + leaves[len(leaves) - len(leaves) % 2:]
+    return leaves[0]
+
+
+# Every catalog row over one signature: Z is the unit, O the absorber and N
+# the inverse where the row has them, and plain constructors elsewhere.
+CATALOG_TYPE = "type t = Z | O | A | S(t) | N(t) | P(t, t)"
+DEEP_COMB_ATTRS = {
+    Variant.AC: "commutative",
+    Variant.GROUP: "commutative, neutral(Z), inverse(N)",
+    Variant.ACI: "commutative, idempotent",
+    Variant.ACI_NEU: "commutative, neutral(Z), idempotent",
+    Variant.ACNIL: "commutative, nilpotent(O)",
+    Variant.ACNIL_NEU: "commutative, neutral(Z), nilpotent(O)",
+}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_semantic_key_reads_5000_leaf_combs_without_recursion(variant):
+    """Both orientations of a random 5,000-leaf comb get the key of their
+    normal form, taken from a balanced sum of the same leaves (its
+    normalization merges, where the combs' would insert leaf by leaf)."""
+    sig, spec = parse_definition(f"{CATALOG_TYPE}\nwith P: associative, {DEEP_COMB_ATTRS[variant]}")
+    fam = compile_family(sig, spec)
+    cl = fam.classification
+    assert cl.carrier["P"].variant is variant
+    A = App("A")
+    SA = App("S", (A,))
+    pool = [A, SA, App("S", (SA,)), App("Z"), App("O"), App("N", (A,)), App("N", (App("P", (A, SA)),))]
+    rng = random.Random(5000)
+    leaves = [rng.choice(pool) for _ in range(5000)]
+    assert sys.getrecursionlimit() == 1000
+
+    def key(t):
+        try:
+            return semantic_key(cl, sig, t)
+        except RecursionError:
+            pass
+        # failing outside the handler keeps the deep traceback out of the
+        # report, which pytest would take minutes to search for recursion
+        pytest.fail("semantic_key raised RecursionError", pytrace=False)
+
+    nf_key = key(normalize(_balanced(leaves), fam))
+    for orientation in ("right", "left"):
+        assert key(acnf.build_comb("P", leaves, orientation)) == nf_key, orientation

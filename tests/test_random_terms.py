@@ -1,0 +1,89 @@
+"""Random terms beyond the exhaustive bound.
+
+The exhaustive checks stop at size 9 or so; here hypothesis draws
+well-sorted ground terms of 20-2,000 nodes, with sums bracketed at random,
+and checks that normalize keeps the algebraic key and is idempotent.  The
+example count comes from the hypothesis profile (tests/conftest.py): small
+by default, larger with HYPOTHESIS_PROFILE=ci.
+"""
+
+from __future__ import annotations
+
+import functools
+import pathlib
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from canonform import App, compile_family, normalize, parse_definition, semantic_key
+from canonform.terms import size
+
+from conftest import load
+
+SYN_DEFS = pathlib.Path(__file__).parent.parent / "perfbench" / "defs"
+FAMILIES = ["vec", "left_group", "exp", "aci", "acnil", "syn_ac", "syn_group", "syn_idem", "syn_nil"]
+# semantic_key recurses through free constructors by design: keep their
+# nesting well inside the recursion limit
+MAX_FREE_DEPTH = 50
+
+
+@functools.lru_cache(maxsize=None)
+def family(name):
+    path = SYN_DEFS / f"{name}.rdt"
+    if not path.exists():
+        return load(name)[0], load(name)[2]
+    sig, spec = parse_definition(path.read_text())
+    return sig, compile_family(sig, spec)
+
+
+def random_term(sig, free, rng, n):
+    """A ground term of the data sort with n or n - 1 nodes.  A binary node
+    splits its budget at random, so sums come in every bracketing; no path
+    holds more than MAX_FREE_DEPTH free constructors."""
+    by_arity: dict[int, list[str]] = {}
+    for d in sig.constructors:
+        assert all(s == sig.rdt_sort for s in d.arg_sorts), d
+        by_arity.setdefault(d.arity, []).append(d.name)
+    nullary, binary = by_arity[0], by_arity.get(2, [])
+
+    def build(n, depth):
+        unary = [c for c in by_arity.get(1, []) if c not in free or depth < MAX_FREE_DEPTH]
+        if not unary and n % 2 == 0:
+            n -= 1  # binary nodes and leaves alone build odd sizes only
+        if n == 1:
+            return App(rng.choice(nullary))
+        if n == 2 or (unary and rng.random() < 0.2):
+            c = rng.choice(unary)
+            return App(c, (build(n - 1, depth + (c in free)),))
+        c = rng.choice(binary)
+        if unary:
+            a = rng.randint(1, n - 2)
+        else:  # both parts odd
+            a = 2 * rng.randint(0, (n - 3) // 2) + 1
+        d = depth + (c in free)
+        return App(c, (build(a, d), build(n - 1 - a, d)))
+
+    return build(n, 0)
+
+
+def free_depth(t, free):
+    """The most free constructors on one path of t."""
+    most, stack = 0, [(t, 0)]
+    while stack:
+        u, depth = stack.pop()
+        depth += u.ctor in free
+        most = max(most, depth)
+        stack.extend((a, depth) for a in u.args)
+    return most
+
+
+@given(st.sampled_from(FAMILIES), st.integers(20, 2000), st.randoms(use_true_random=False))
+def test_normalize_keeps_the_key_of_random_terms(name, n, rng):
+    sig, fam = family(name)
+    cl = fam.classification
+    free = set(cl.free)
+    t = random_term(sig, free, rng, n)
+    assert n - 1 <= size(t) <= n and free_depth(t, free) <= MAX_FREE_DEPTH
+    v = normalize(t, fam)
+    assert semantic_key(cl, sig, t) == semantic_key(cl, sig, v)
+    assert normalize(v, fam) == v

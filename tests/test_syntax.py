@@ -7,6 +7,7 @@ Every diagnostic is pinned down to its rendered form
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
@@ -354,6 +355,34 @@ def test_rule_diagnostics_are_pinned(which, text, rendered):
     head = CELL if which == "CELL" else "type t = A | M(t, t)"
     e = err(head + "\n" + text)
     assert e.render() == rendered
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before 3.10.7"
+)
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("Cons(<n>, Nil)", "1:6: error[syntax]: integer literal of 5000 digits is too long"),
+        ("rule Tag(\"a\", Cons(-<n>, x)) -> x",
+         "2:20: error[syntax]: integer literal of 5000 digits is too long"),
+        ("rule Tag(\"a\", x) -> Cons(<n>, x)",
+         "2:26: error[syntax]: integer literal of 5000 digits is too long"),
+    ],
+)
+def test_an_int_literal_past_the_int_string_limit_is_a_diagnostic(text, rendered):
+    text = text.replace("<n>", "7" * 5000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as info:
+            if text.startswith("rule"):
+                parse_definition(CELL + "\n" + text)
+            else:
+                parse_ground_term(text, parse_definition(CELL)[0])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert info.value.render() == rendered
 
 
 # --- round trips and nesting depth --------------------------------------------------
