@@ -104,13 +104,22 @@ def _rhs_str(rhs: Term) -> str:
 # standalone code
 
 
-def _term_code(t: Term) -> str:
-    """t as the expression of its tuple-world value; a variable is a Var record."""
-    return fold(
-        t,
-        lambda u: f"Var({u.name!r})" if isinstance(u, Var) else repr(u.value),
-        lambda u, args: _tuple_code([repr(u.ctor), *args]),
-    )
+def _term_code(t: Term, hoisted: list[str]) -> str:
+    """t as the expression of its tuple-world value; a variable is a Var record.
+
+    Every 100th level of tuple nesting becomes a module-level name: its
+    assignment (`_T0 = ...`) is appended to hoisted, innermost first, so no
+    expression nests deeper than Python's parser accepts."""
+
+    def node(u, values):
+        code = _tuple_code([repr(u.ctor), *(c for c, _ in values)])
+        depth = 1 + max((d for _, d in values), default=0)
+        if depth < 100:
+            return code, depth
+        hoisted.append(f"_T{len(hoisted)} = {code}")
+        return f"_T{len(hoisted) - 1}", 0
+
+    return fold(t, lambda u: (f"Var({u.name!r})" if isinstance(u, Var) else repr(u.value), 0), node)[0]
 
 
 def _tuple_code(items: list[str]) -> str:
@@ -229,19 +238,19 @@ def _shared_block(name: str) -> str:
     return source[source.index(begin) + len(begin) : source.index(end)]
 
 
-def _entry_code(entry) -> str:
+def _entry_code(entry, hoisted: list[str]) -> str:
     if isinstance(entry, FreeEntry):
         return "FreeEntry()"
     if isinstance(entry, Type1Entry):
         clauses = _tuple_code([
-            f"Record(patterns={_tuple_code([_term_code(p) for p in c.patterns])}, "
-            f"guard={c.guard!r}, rhs={_term_code(c.rhs)})"
+            f"Record(patterns={_tuple_code([_term_code(p, hoisted) for p in c.patterns])}, "
+            f"guard={c.guard!r}, rhs={_term_code(c.rhs, hoisted)})"
             for c in entry.clauses
         ])
         return f"Type1Entry(clauses={clauses})"
     if isinstance(entry, InverseEntry):
         return f"InverseEntry(carrier={entry.carrier!r})"
-    unit, absorber = ("None" if t is None else _term_code(t) for t in (entry.unit, entry.absorber))
+    unit, absorber = ("None" if t is None else _term_code(t, hoisted) for t in (entry.unit, entry.absorber))
     return (
         f"Type2Entry(sign={entry.sign}, unit={unit}, absorber={absorber}, "
         f"idem={entry.idem}, nil={entry.nil}, inverse={entry.inverse!r})"
@@ -266,11 +275,12 @@ def emit_code(fam: CompiledFamily) -> str:
         _PRELUDE.strip(),
         "",
         "",
-        "ENTRIES = {",
     ]
-    for d in sig.constructors:
-        lines.append(f"    {d.name!r}: {_entry_code(fam.entries[d.name])},")
-    lines += ["}", "", "FAMILY = Record(sig=CTOR_INDEX, entries=ENTRIES)", "", ""]
+    hoisted: list[str] = []
+    entries = [f"    {d.name!r}: {_entry_code(fam.entries[d.name], hoisted)}," for d in sig.constructors]
+    if hoisted:
+        lines += [*hoisted, ""]
+    lines += ["ENTRIES = {", *entries, "}", "", "FAMILY = Record(sig=CTOR_INDEX, entries=ENTRIES)", "", ""]
     for d in sig.constructors:
         params = [f"x{i}" for i in range(1, d.arity + 1)]
         args = _tuple_code(params)

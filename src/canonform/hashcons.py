@@ -1,10 +1,13 @@
 """Maximal sharing: interning terms so equal subterms are one node.
 
-A table is one dict from Term to NodeId plus the list of canonical Terms
-indexed by id.  An App caches its structural hash and a stored App's
-children are the canonical objects, so looking up a node whose children are
-already interned costs O(arity): the hash is built from the children's
-cached hashes, and equality stops at the children by identity.
+A table keys a node by its constructor and the identities of its canonical
+arguments, and a leaf by its fields (a constant's key includes the Python
+type of its value, so True never meets 1).  Each key maps to the one
+canonical object, and a second dict maps that object's identity to its
+NodeId, the index of the list of canonical objects.  The table keeps every
+canonical object alive, so no identity in a key is ever reused, and a lookup
+never hashes a term or compares two: interning a node whose arguments are
+canonical costs O(arity) however large the term.
 
 Ids are table-scoped and carry no meaning across tables or runs; comparisons
 elsewhere stay structural.  Within one table, id equality coincides with
@@ -14,10 +17,11 @@ structural equality, and the canonical Term object for an id is shared, so
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import operator
+from typing import Optional, Sequence, Union
 
 from .errors import CanonError, SignatureError, SortError
-from .terms import App, Prim, Signature, Term, Var, cache_hashes
+from .terms import App, Prim, Signature, Term, Var
 
 NodeId = int
 
@@ -25,85 +29,96 @@ NodeId = int
 class HashConsTable:
     def __init__(self, sig: Signature):
         self.sig = sig
-        self._ids: dict[Term, NodeId] = {}
+        self._nodes: dict[tuple, Term] = {}  # key -> canonical object
+        self._ids: dict[int, NodeId] = {}  # id of a canonical object -> its NodeId
         self._terms: list[Term] = []
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _add(self, term: Term) -> NodeId:
-        node = self._ids.setdefault(term, len(self._terms))
-        if node == len(self._terms):
-            self._terms.append(term)
-        return node
+    def _admit(self, u: Term) -> None:
+        """Called on each object about to become canonical: rejects it unless
+        it is a well-sorted node over canonical arguments or a valid constant."""
+        sig = self.sig
+        if type(u) is App:
+            sorts = sig.arg_sorts.get(u.ctor)
+            if sorts is None:
+                sig.declaration(u.ctor)  # raises SignatureError: unknown constructor
+            if len(u.args) != len(sorts):
+                raise SignatureError(f"{u.ctor!r} expects {len(sorts)} children, got {len(u.args)}")
+            rdt = sig.rdt_sort
+            for a, s in zip(u.args, sorts):
+                if (a.ptype if type(a) is Prim else rdt) != s:
+                    raise SortError(f"ill-sorted child for {u.ctor!r}: {a}")
+        elif type(u) is Var:
+            raise SortError("cannot intern terms containing variables")
+        elif u.ptype not in sig.primitives:
+            raise SignatureError(f"unknown primitive type {u.ptype!r}")
+        elif not isinstance(u.value, sig.primitives[u.ptype]) or isinstance(u.value, bool):
+            raise SortError(f"bad {u.ptype} constant {u.value!r}")
 
-    def _check(self, ctor: str, args: tuple[Term, ...]) -> None:
-        """Arity and argument sorts of ctor applied to interned terms."""
-        sorts = self.sig.arg_sorts.get(ctor)
-        if sorts is None:
-            self.sig.declaration(ctor)  # raises SignatureError: unknown constructor
-        if len(args) != len(sorts):
-            raise SignatureError(f"{ctor!r} expects {len(sorts)} children, got {len(args)}")
-        rdt = self.sig.rdt_sort
-        for a, s in zip(args, sorts):
-            if (a.ptype if type(a) is Prim else rdt) != s:
-                raise SortError(f"ill-sorted child for {ctor!r}: {a}")
+    def _add(self, key: tuple, u: Term) -> Term:
+        self._admit(u)
+        self._nodes[key] = u
+        self._ids[id(u)] = len(self._terms)
+        self._terms.append(u)
+        return u
+
+    def _node(self, ctor: str, args: tuple, orig: Optional[App] = None) -> App:
+        """The canonical App of ctor over canonical args.  orig, an equal App,
+        becomes it if it is new, so a caller's object is kept where it can be."""
+        key = (ctor, *map(id, args))
+        u = self._nodes.get(key)
+        if u is None:
+            if orig is None or not all(map(operator.is_, args, orig.args)):
+                orig = App(ctor, args)
+            u = self._add(key, orig)
+        return u
+
+    def _leaf(self, t: Term) -> Term:
+        """The canonical constant (or variable) equal to t; t becomes it if new."""
+        key = (Var, t.name, t.sort) if type(t) is Var else (Prim, t.ptype, type(t.value), t.value)
+        u = self._nodes.get(key)
+        return self._add(key, t) if u is None else u
 
     def intern(self, ctor: str, children: Sequence[NodeId]) -> NodeId:
         """Node for ctor applied to already-interned children."""
-        args = tuple(self.to_term(c) for c in children)
-        self._check(ctor, args)
-        return self._add(App(ctor, args))
+        return self._ids[id(self._node(ctor, tuple(self.to_term(c) for c in children)))]
 
     def intern_prim(self, ptype: str, value: Union[int, str]) -> NodeId:
-        if ptype not in self.sig.primitives:
-            raise SignatureError(f"unknown primitive type {ptype!r}")
-        if not isinstance(value, self.sig.primitives[ptype]) or isinstance(value, bool):
-            raise SortError(f"bad {ptype} constant {value!r}")
-        return self._add(Prim(ptype, value))
+        t = Prim(ptype, value)
+        HashConsTable._admit(self, t)  # a bad value is rejected before it is hashed into a key
+        return self._ids[id(self._leaf(t))]
 
     def to_term(self, node: NodeId) -> Term:
         if not isinstance(node, int) or not 0 <= node < len(self._terms):
             raise CanonError(f"unknown node id {node!r}")
         return self._terms[node]
 
-    def _intern_leaf(self, t: Term) -> NodeId:
-        """A Prim or Var that is not in the table yet."""
-        if isinstance(t, Var):
-            raise SortError("cannot intern terms containing variables")
-        return self.intern_prim(t.ptype, t.value)
-
     def from_term(self, t: Term) -> NodeId:
-        cache_hashes(t)  # a merge hands over a rebuilt comb prefix: a chain of new nodes
-        ids, terms = self._ids, self._terms
-        hit = ids.get(t)
+        """One post-order walk over the nodes of t that are not canonical yet."""
+        ids = self._ids
+        hit = ids.get(id(t))
         if hit is not None:
-            return hit  # Prim equality tells True from 1, so a hit is a valid constant
-        if not isinstance(t, App):
-            return self._intern_leaf(t)
-        # post-order over the new nodes: (node, canonical children so far)
-        stack = [(t, [])]
+            return hit
+        done: list[Term] = []  # canonical subterms, left to right
+        stack: list = [t]  # terms still to walk, and (node, arity) to rebuild
         while stack:
-            u, args = stack[-1]
-            if len(args) < len(u.args):
-                a = u.args[len(args)]
-                hit = ids.get(a)
-                if hit is None:
-                    if isinstance(a, App):
-                        stack.append((a, []))
-                        continue
-                    hit = self._intern_leaf(a)
-                args.append(terms[hit])
-                continue
-            stack.pop()
-            args = tuple(args)
-            self._check(u.ctor, args)
-            if any(a is not b for a, b in zip(args, u.args)):
-                u = App(u.ctor, args)  # keep the caller's object when it is canonical
-            hit = self._add(u)
-            if stack:
-                stack[-1][1].append(terms[hit])
-        return hit
+            u = stack.pop()
+            if type(u) is tuple:
+                u, n = u
+                k = len(done) - n
+                args = tuple(done[k:])
+                del done[k:]
+                done.append(self._node(u.ctor, args, u))
+            elif id(u) in ids:  # canonical already; the table keeps it alive
+                done.append(u)
+            elif type(u) is App:
+                stack.append((u, len(u.args)))
+                stack += reversed(u.args)
+            else:
+                done.append(self._leaf(u))
+        return ids[id(done[0])]
 
     def canonical(self, t: Term) -> Term:
         """The one shared Term object structurally equal to t."""

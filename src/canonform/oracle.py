@@ -10,8 +10,9 @@ Two oracles:
   no recursion;
 * a bounded closure of the equations, a sound semi-decision procedure that
   answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
-  a table local to the call, so equal terms are one object: states are
-  compared and looked up by identity, and each size is stored, not measured.
+  a HashConsTable local to the call, so equal terms are one object: states
+  are compared and looked up by identity, and each size is stored, not
+  measured.
 
 validate_family checks a compiled family on every term up to a size bound
 and reports correctness counterexamples (result not equal to the input),
@@ -33,13 +34,13 @@ from typing import Iterator, Optional, Sequence
 from .acnf import Orientation, _recomb, build_comb, is_ac_normal, spine
 from .builder import CompiledFamily, construct
 from .errors import OracleError
+from .hashcons import HashConsTable
 from .terms import (
     App,
     Prim,
     Signature,
     Term,
     Var,
-    cache_hashes,
     compare,
     enumerate_ground,
     format_term,
@@ -178,56 +179,27 @@ def _instantiate(p: Term, binding: dict[str, Term]) -> Term:
     return map_vars(p, lambda v: binding[v.name])
 
 
-class _States:
+class _States(HashConsTable):
     """The hash-consing table of one closure search: one object per term.
 
-    A node is keyed by its constructor and the ids of its interned
-    arguments, a leaf by its fields, so equal terms are one object and the
-    search compares them with `is`.  The table stores each term's size.
+    Equal terms are one object, so the search compares them with `is`.  On
+    top of the table it stores each term's size, accepts variables (rule
+    sides are interned) and checks no sorts: states are well sorted by
+    construction.
     """
 
     def __init__(self):
-        self.nodes: dict[tuple, Term] = {}
+        super().__init__(None)
         self.size: dict[int, int] = {}  # id of an interned term -> node count
 
-    def node(self, ctor: str, args: tuple, orig: Optional[App] = None) -> App:
-        # orig, an equal App, becomes the node if it is new: the caller's
-        # seeds stay the union-find's keys, found later without a comparison
-        key = (ctor, *map(id, args))
-        u = self.nodes.get(key)
-        if u is None:
-            if orig is None or any(a is not b for a, b in zip(args, orig.args)):
-                orig = App(ctor, args)
-            u = self.nodes[key] = orig
-            self.size[id(u)] = 1 + sum(self.size[id(a)] for a in args)
-        return u
-
-    def intern(self, t: Term) -> Term:
-        done: list[Term] = []  # interned subterms, left to right
-        stack: list = [t]  # terms still to walk, and (node, arity) to rebuild
-        while stack:
-            u = stack.pop()
-            if type(u) is tuple:
-                node, n = u
-                args = tuple(done[len(done) - n:])
-                del done[len(done) - n:]
-                done.append(self.node(node.ctor, args, node))
-            elif id(u) in self.size:  # interned already; the table keeps it alive
-                done.append(u)
-            elif isinstance(u, App):
-                stack.append((u, len(u.args)))
-                stack += reversed(u.args)
-            else:
-                f = (u.name, u.sort) if isinstance(u, Var) else (u.ptype, type(u.value), u.value)
-                u = self.nodes.setdefault((type(u), *f), u)
-                self.size[id(u)] = 1
-                done.append(u)
-        return done[0]
+    def _admit(self, u: Term) -> None:
+        size = self.size
+        size[id(u)] = 1 + sum(size[id(a)] for a in u.args) if type(u) is App else 1
 
     def rule(self, l: Term, r: Term) -> tuple:
         # interned sides, r's non-variable node count and r's variable
         # occurrences: an instance's size is known before it is built
-        l, r = self.intern(l), self.intern(r)
+        l, r = self.canonical(l), self.canonical(r)
         occurrences = [u.name for u in preorder(r) if isinstance(u, Var)]
         return l, r, self.size[id(r)] - len(occurrences), occurrences
 
@@ -240,7 +212,7 @@ class _States:
                 ctor, n = u
                 args = tuple(done[-n:])
                 del done[-n:]
-                done.append(self.node(ctor, args))
+                done.append(self._node(ctor, args))
             elif isinstance(u, Var):
                 done.append(binding[u.name])
             elif isinstance(u, App) and u.args:
@@ -277,9 +249,9 @@ def _neighbors(
     call interns t and directed in a table of its own."""
     if states is None:
         states = _States()
-        t = states.intern(t)
+        t = states.canonical(t)
         directed = [states.rule(l, r) for l, r in directed]
-    size, node = states.size, states.node
+    size, node = states.size, states._node
     # a subterm with its ancestors: (parent, argument index, parent's chain)
     stack: list = [(t, None)]
     while stack:
@@ -337,17 +309,19 @@ def closure_classes(
     terms share a class, plus a flag that is True when the budget truncated
     the search (so absence from a class proves nothing).
 
-    The search works on interned states (_States): equal terms are one
-    object, so the seen set and the union-find compare by identity, and a
-    neighbour's size is known from stored sizes before it is built.  The
-    states, their order and the classes are those of a search on plain
-    terms.  uf.find accepts any term equal to a state.
+    The search works on interned states (_States, a HashConsTable that also
+    stores sizes): equal terms are one object, so the seen set and the
+    union-find compare by identity, and a neighbour's size is known from
+    stored sizes before it is built.  A new seed whose arguments are states
+    becomes a state itself, so the caller's terms stay the union-find's
+    keys.  The states, their order and the classes are those of a search on
+    plain terms.  uf.find accepts any term equal to a state.
     """
     bud = budget or ClosureBudget()
     states = _States()
     directed = [states.rule(l, r) for l, r in _directed(eqs)]
     # seed order, not set order: a truncated search must not depend on hashing
-    queue = deque({id(s): s for s in map(states.intern, seeds)}.values())
+    queue = deque({id(s): s for s in map(states.canonical, seeds)}.values())
     size = states.size
     cap = bud.max_term_size or max((size[id(s)] for s in queue), default=1) + 4
     uf = _UnionFind()
@@ -503,7 +477,6 @@ def find_redex(
         by_head.setdefault(getattr(rule.lhs, "ctor", None), []).append(rule)
     grouped = None not in by_head  # a variable or constant left-hand side matches anywhere
     tc = _recomb(t, orientation, spine, sig)
-    cache_hashes(tc)  # the matcher's Counters hash its leaves
     for sub in preorder(tc):
         for rule in by_head.get(getattr(sub, "ctor", None), ()) if grouped else rules:
             for _ in _ac_match(sig, orientation, rule.lhs, sub, {}):

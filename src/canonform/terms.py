@@ -63,10 +63,12 @@ class Prim:
 class App:
     """Constructor application; nullary constructors have an empty args tuple.
 
-    The structural hash is computed on first use and cached on the instance.
-    The arguments' hashes are cached too, so hashing a node costs O(arity)
-    however large the term; that keeps dict and set lookups (hash-consing,
-    the oracles' term sets) from rewalking whole subterms.  Equality walks
+    The structural hash is computed on first use and cached on the instance,
+    by one loop over the nodes below whose hash is not cached yet
+    (cache_hashes), so hashing never recurses.  The arguments' hashes are
+    cached too, so hashing a node again costs O(arity) however large the
+    term; that keeps dict and set lookups (the oracles' term sets) from
+    rewalking whole subterms.  Equality walks
     both terms in one loop: identical subterms are equal at once, and two
     nodes whose hashes are both cached and differ are unequal at once.
     """
@@ -103,8 +105,8 @@ class App:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.ctor, self.args))
-            object.__setattr__(self, "_hash", h)
+            cache_hashes(self)
+            h = self._hash
         return h
 
     def __reduce__(self):
@@ -122,7 +124,7 @@ Position = tuple[int, ...]
 def cache_hashes(t: Term) -> None:
     """Cache the hash of t and of every App below it whose hash is not cached
     yet, deepest first, so hashing a long chain of new nodes (a rebuilt comb)
-    afterwards costs no recursion."""
+    costs no recursion.  App.__hash__ calls it on a miss."""
     stack = [t] if type(t) is App and t._hash is None else []
     while stack:
         u = stack[-1]

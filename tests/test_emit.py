@@ -281,6 +281,49 @@ def test_generated_compare_walks_deep_chains_without_recursion():
     assert gen_compare(index, ("P", a, c), ("P", b, b)) == 1
 
 
+def test_generated_modules_for_deep_rules_compile_and_agree_with_the_library():
+    """A 600-deep right-hand side and a 1,500-deep left-hand side nest deeper
+    than Python's parser accepts in one expression; every 100th level is a
+    module-level name, so both modules load.  Values are read with loops."""
+
+    def s_power(n, bottom):
+        for _ in range(n):
+            bottom = ("S", bottom)
+        return bottom
+
+    def depth(t):
+        n = 0
+        while t[0] == "S":
+            t, n = t[1], n + 1
+        return n, t
+
+    sig, spec = parse_definition(
+        "type t = E | S(t) | C(t, t)\nrule C(x, E) -> " + "S(" * 600 + "x" + ")" * 600
+    )
+    fam = compile_family(sig, spec)
+    code = emit_code(fam)
+    ns: dict = {}
+    exec(code, ns)
+    hoisted = [line.split(" = ")[0] for line in code.splitlines() if line.startswith("_T")]
+    assert hoisted == [f"_T{i}" for i in range(6)]
+    value = normalize(App("C", (App("E"), App("E"))), fam)
+    n = 0
+    while value.ctor == "S":
+        value, n = value.args[0], n + 1
+    assert (n, value) == (600, App("E"))
+    assert depth(ns["normalize"](("C", ("E",), ("E",)))) == (600, ("E",))
+    assert depth(ns["f_C"](s_power(7, ("E",)), ("E",))) == (607, ("E",))
+
+    sig, spec = parse_definition(
+        "type t = E | S(t) | C(t, t)\nrule C(" + "S(" * 1500 + "x" + ")" * 1500 + ", E) -> x"
+    )
+    ns = exec_module(compile_family(sig, spec))
+    assert ns["f_C"](s_power(1500, ("E",)), ("E",)) == ("E",)
+    assert ns["f_C"](s_power(1500, ("G",)), ("E",)) == ("G",)
+    short = ns["f_C"](s_power(1499, ("E",)), ("E",))
+    assert short[0] == "C" and depth(short[1]) == (1499, ("E",)) and short[2] == ("E",)
+
+
 # --- one source for the dispatch and the clause matcher -----------------------------
 
 ENGINE = [builder._construct_entry, builder._match, builder._eval_rhs]

@@ -29,6 +29,8 @@ from canonform import (
     parse_ground_term,
 )
 
+from canonform.terms import size
+
 from conftest import FIXTURES, load, terms
 
 ZERO, ONE = App("Zero"), App("One")
@@ -384,3 +386,43 @@ def test_sharing_normalizes_a_sum_of_a_large_sum_with_itself():
     x = balanced([s_power(rng.randrange(20)) for _ in range(300)])
     shared = normalize(App("P", (x, x)), fam, HashConsTable(sig))
     assert shared == normalize(App("P", (x, x)), fam)
+
+
+def test_interning_an_equal_copy_neither_hashes_nor_compares_terms(monkeypatch):
+    """Lookups key a node by its constructor and the identities of its
+    canonical arguments: interning a 2,003-node term and then an equal copy
+    built from fresh objects calls neither App.__eq__ nor App.__hash__."""
+    sig, _ = parse_definition("type cell = Nil | Cons(int, cell) | Tag(string, cell) | Pair(cell, cell)")
+
+    def build():
+        ts = [
+            App("Cons", (Prim("int", i % 50), App("Tag", (Prim("string", "ab"[i % 2]), App("Nil")))))
+            for i in range(334)
+        ]
+        while len(ts) > 1:
+            ts = [App("Pair", tuple(ts[i : i + 2])) if i + 1 < len(ts) else ts[i] for i in range(0, len(ts), 2)]
+        return ts[0]
+
+    t, twin = build(), build()
+    assert size(t) == 2003 and twin is not t
+    counts = {"eq": 0, "hash": 0}
+    app_eq, app_hash = App.__eq__, App.__hash__
+
+    def counting_eq(self, other):
+        counts["eq"] += 1
+        return app_eq(self, other)
+
+    def counting_hash(self):
+        counts["hash"] += 1
+        return app_hash(self)
+
+    monkeypatch.setattr(App, "__eq__", counting_eq)
+    monkeypatch.setattr(App, "__hash__", counting_hash)
+    table = HashConsTable(sig)
+    node = table.from_term(t)
+    assert table.from_term(twin) == node
+    assert counts == {"eq": 0, "hash": 0}
+    monkeypatch.undo()
+    assert table.to_term(node) == t
+    seen = distinct_subterms([t])
+    assert table.sharing_stats() == (len(seen), sum(len(s.args) for s in seen if isinstance(s, App)))

@@ -552,3 +552,26 @@ def test_equality_agrees_with_the_printed_form():
             assert (t == u) == (format_term(t) == format_term(u)), (t, u)
     assert App("L") != Prim("string", "L") and Prim("string", "L") != App("L")
     assert App("U", (Prim("int", 1),)) != App("U", (Prim("int", True),))
+
+
+def test_hash_walks_deep_terms_without_recursion():
+    """hash() and set membership of a fresh S^100000(L), and of two fresh
+    equal 5,000-leaf right combs, under the default recursion limit."""
+
+    def comb(n):
+        t = App("L")
+        for i in range(n):
+            t = App("P", (_chain(App("L"), i % 7), t))
+        return t
+
+    recursed = False
+    try:
+        a, b = _chain(App("L")), _chain(App("L"))
+        members = {a}
+        assert hash(b) == hash(a) and b in members and _chain(App("Z")) not in members
+        c, d = comb(5000), comb(5000)
+        assert hash(c) == hash(d) and d in {c} and c in {a, d}
+    except RecursionError:
+        # reported below: pytest's search of a deep traceback compares terms
+        recursed = True
+    assert not recursed, "hashing a deep term recursed"
