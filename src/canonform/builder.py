@@ -26,8 +26,8 @@ idempotence or cancelling them to the absorber under nilpotence.  delete
 removes one occurrence of a leaf, exploiting sortedness for early failure;
 insert_inv tries delete first and only then inserts the re-inverted leaf.
 The inverse function f_I pushes inversion to the leaves, reversing the
-comb.  merge, insert, leaf removal and f_I walk a spine in a loop, so they
-cap no comb's length at Python's recursion limit.
+comb.  merge, insert, delete and f_I walk a spine in a loop, so they cap no
+comb's length at Python's recursion limit.
 
 The scheme above is written for right combs, whose exposed leaf is the first
 argument.  Both orientations run the same code through one view,
@@ -43,13 +43,16 @@ the dispatch on entry kinds and of the clause matcher: emit_code prints
 both blocks verbatim into generated modules (the AC block only when the
 family has an AC constructor), and there they run on tuples.
 
-Leaf removal (shared by delete and the nilpotent collapse) distinguishes
-"the removed leaf was the whole value" from "a smaller comb remains": a
-removal deep inside a comb must not wrap the unit or absorber into the
-spine as if it were an ordinary leaf, because the result would contain a
-redex (Plus(One, Zero)) or an out-of-place absorber (Xor(Bot, Bot)).
-Instead the collapse result re-enters the construction function, which
-re-places the absorber correctly.
+Removing a leaf never wraps the unit or the absorber into the spine as if
+it were an ordinary leaf, because the result would contain a redex
+(Plus(One, Zero)) or an out-of-place absorber (Xor(Bot, Bot)).  delete
+returns the smaller comb itself, or the unit when the leaf was the whole
+value.  A nilpotent insert finds the equal leaf on its one walk to x's
+place, drops it, rebuilds the leaves it passed over the rest, and lets the
+absorber re-enter through the construction function, which places it.
+
+construct and normalize reject ill-sorted input by Signature.check, the
+one well-sortedness rule of the package.
 
 Normalizing a whole term is the bottom-up fold of the construction
 functions.  It runs over explicit stacks and calls them in the order a
@@ -71,14 +74,12 @@ from .errors import SignatureError, SortError, TheoryError
 from .hashcons import HashConsTable
 from .terms import (
     App,
-    Prim,
     Signature,
     Term,
     Var,
     compare,
     map_vars,
     root_sort,
-    sort_of,
 )
 from .theory import (
     Classification,
@@ -228,14 +229,6 @@ def compile_family(sig: Signature, spec: TheorySpec) -> CompiledFamily:
     return CompiledFamily(sig, entries, cl)
 
 
-def _value_sort(sig: Signature, t: Term) -> str:
-    if isinstance(t, Prim):
-        return sort_of(sig, t)
-    if isinstance(t, App):
-        return sig.declaration(t.ctor).result_sort
-    raise SortError("construction functions take ground values")
-
-
 def _is_c(t: Term, ctor: str) -> bool:
     return isinstance(t, App) and t.ctor == ctor
 
@@ -260,16 +253,8 @@ def construct(
     table: Optional[HashConsTable] = None,
 ) -> Term:
     """Construction function f_ctor: canonical arguments in, canonical value out."""
-    sig = fam.sig
-    decl = sig.declaration(ctor)
     args = tuple(args)
-    if len(args) != decl.arity:
-        raise SignatureError(
-            f"{ctor!r} expects {decl.arity} arguments, got {len(args)}"
-        )
-    for a, s in zip(args, decl.arg_sorts):
-        if _value_sort(sig, a) != s:
-            raise SortError(f"ill-sorted argument for {ctor!r}: {a}")
+    fam.sig.check(ctor, args)
     result = _construct_entry(ctor, fam.entries[ctor], args, fam, table)
     if table is not None:
         result = table.canonical(result)
@@ -458,28 +443,29 @@ def _cancel_inverses(fam, entry, leaves):
 def insert(ctor, x, u, fam, table=None):
     """Place leaf x into value u, keeping leaves sorted; x is not C-headed.
 
-    Nilpotence is handled up front: if x already occurs among u's leaves,
-    the pair cancels to the absorber, and the absorber is re-inserted into
-    the remaining comb through the construction function (the absorber is
-    an ordinary leaf with its own ordered position, and may itself cancel
-    against an absorber already present).  After that check the plain
-    ordered insertion can never collide, so rebuilding the spine directly
-    is safe.  The walk down the spine is a loop; the leaves that stay on
-    the exposed side of x are then rebuilt around the part that takes x.
+    One loop walks down the spine to the first leaf not smaller than x;
+    the leaves passed on the way are then rebuilt around the part that
+    takes x.  An equal leaf there collapses with x under idempotence.
+    Under nilpotence the two cancel: x is not placed, the equal leaf is
+    dropped, and the absorber re-enters the remaining comb through the
+    construction function (it is an ordinary leaf with its own ordered
+    position, and may itself cancel against an absorber already present).
     """
     entry = fam.entries[ctor]
     sig = fam.sig
     s = entry.sign
-    if entry.nil:
-        outcome, rest = _remove_leaf(ctor, x, u, fam)
-        if outcome == "empty":
-            return entry.absorber
-        if outcome == "rest":
-            return construct(ctor, (entry.absorber, rest)[::s], fam, table)
     passed = []
     while True:
         y, r = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
         c = s * compare(sig, x, y)
+        if c == 0 and entry.nil:  # x and y cancel to the absorber
+            if r is None:  # y was the innermost leaf
+                if not passed:
+                    return entry.absorber
+                r = passed.pop()
+            while passed:
+                r = _make(ctor, (passed.pop(), r)[::s])
+            return construct(ctor, (entry.absorber, r)[::s], fam, table)
         if c <= 0:
             if c < 0 or not entry.idem:
                 u = _make(ctor, (x, u)[::s])
@@ -494,49 +480,35 @@ def insert(ctor, x, u, fam, table=None):
     return u
 
 
-def _remove_leaf(ctor, x, u, fam):
-    """Remove one occurrence of leaf x from value u.
-
-    Returns ("absent", None) when x does not occur, ("empty", None) when u
-    was exactly the leaf x, and ("rest", v) when a smaller value remains.
-    Sortedness gives the early exit: once the exposed leaf passes x, x
-    cannot occur further in.  Removing one leaf of a sorted comb keeps the
-    rest sorted, so v is canonical whenever u was.
-    """
-    sig = fam.sig
-    if not _is_c(u, ctor):
-        return ("empty", None) if compare(sig, x, u) == 0 else ("absent", None)
-    s = fam.entries[ctor].sign
-    passed = []
-    while True:
-        y, u = _split(u, s)
-        c = s * compare(sig, x, y)
-        if c < 0:
-            return "absent", None
-        if c == 0:
-            break
-        passed.append(y)
-        if not _is_c(u, ctor):  # the innermost leaf
-            if compare(sig, x, u) != 0:
-                return "absent", None
-            u = passed.pop()
-            break
-    while passed:
-        u = _make(ctor, (passed.pop(), u)[::s])
-    return "rest", u
-
-
 def delete(ctor, x, u, fam):
     """Remove one occurrence of leaf x from value u; None when x does not occur.
 
-    Cancelling the last remaining leaf yields the neutral element (the
-    empty sum); removing a leaf from deeper inside a comb yields the
-    smaller comb itself, never a spine with the unit wrapped in.
+    Sortedness gives the early exit: once the exposed leaf passes x, x
+    cannot occur further in.  Removing one leaf of a sorted comb keeps the
+    rest sorted, so the result is canonical whenever u was.  Cancelling the
+    last remaining leaf yields the neutral element (the empty sum);
+    removing a leaf from deeper inside a comb yields the smaller comb
+    itself, never a spine with the unit wrapped in.
     """
-    outcome, rest = _remove_leaf(ctor, x, u, fam)
-    if outcome == "empty":
-        return fam.entries[ctor].unit
-    return rest  # None when x is absent
+    sig = fam.sig
+    s = fam.entries[ctor].sign
+    passed = []
+    while True:
+        y, r = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
+        c = s * compare(sig, x, y)
+        if c == 0:
+            break
+        if c < 0 or r is None:
+            return None
+        passed.append(y)
+        u = r
+    if r is None:  # y was the innermost leaf
+        if not passed:
+            return fam.entries[ctor].unit
+        r = passed.pop()
+    while passed:
+        r = _make(ctor, (passed.pop(), r)[::s])
+    return r
 
 
 def insert_inv(ctor, x_inv, y, fam, table=None):
@@ -593,30 +565,26 @@ def normalize(
     table every node goes through construct, which interns it.
     """
     sig = fam.sig
-    rdt, arg_sorts = sig.rdt_sort, sig.arg_sorts
+    check = sig.check
     # One walk checks the term and lists its nodes in preorder, arguments
     # pushed left to right, so that the reversed list is the left-to-right
     # postorder in which a recursive fold would construct.  Each App is
-    # checked once, as a node: its constructor and arity, and its children's
-    # sorts, an App child being of the data sort (its own check comes when
-    # the walk reaches it).  A variable anywhere outranks an ill-sorted node.
-    well_sorted = type(t) is App or root_sort(sig, t) is not None
+    # checked once, as a node (Signature.check), an App child being of the
+    # data sort (its own check comes when the walk reaches it).  A variable
+    # anywhere outranks an ill-sorted node.
+    well_sorted = root_sort(sig, t) is not None
     order = []
     stack = [t]
     while stack:
         u = stack.pop()
         order.append(u)
         if type(u) is App:
-            args = u.args
-            stack += args
+            stack += u.args
             if well_sorted:
-                sorts = arg_sorts.get(u.ctor)
-                if sorts is None or len(sorts) != len(args):
+                try:
+                    check(u.ctor, u.args)
+                except (SignatureError, SortError):
                     well_sorted = False
-                else:
-                    for a, s in zip(args, sorts):
-                        if (s != rdt) if type(a) is App else (root_sort(sig, a) != s):
-                            well_sorted = False
         elif isinstance(u, Var):
             raise SortError("normalize takes ground terms")
     if not well_sorted:

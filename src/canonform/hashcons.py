@@ -7,7 +7,9 @@ canonical object, and a second dict maps that object's identity to its
 NodeId, the index of the list of canonical objects.  The table keeps every
 canonical object alive, so no identity in a key is ever reused, and a lookup
 never hashes a term or compares two: interning a node whose arguments are
-canonical costs O(arity) however large the term.
+canonical costs O(arity) however large the term.  An object becomes
+canonical only if it is well sorted: a node by Signature.check, the rule
+construct and normalize apply too, a constant by its type.
 
 Ids are table-scoped and carry no meaning across tables or runs; comparisons
 elsewhere stay structural.  Within one table, id equality coincides with
@@ -41,15 +43,7 @@ class HashConsTable:
         it is a well-sorted node over canonical arguments or a valid constant."""
         sig = self.sig
         if type(u) is App:
-            sorts = sig.arg_sorts.get(u.ctor)
-            if sorts is None:
-                sig.declaration(u.ctor)  # raises SignatureError: unknown constructor
-            if len(u.args) != len(sorts):
-                raise SignatureError(f"{u.ctor!r} expects {len(sorts)} children, got {len(u.args)}")
-            rdt = sig.rdt_sort
-            for a, s in zip(u.args, sorts):
-                if (a.ptype if type(a) is Prim else rdt) != s:
-                    raise SortError(f"ill-sorted child for {u.ctor!r}: {a}")
+            sig.check(u.ctor, u.args)
         elif type(u) is Var:
             raise SortError("cannot intern terms containing variables")
         elif u.ptype not in sig.primitives:

@@ -418,38 +418,50 @@ def _match_seq(sig, orientation, ps, ts, binding) -> Iterator[dict[str, Term]]:
 def _ac_match_leaves(
     sig, orientation, C: str, pleaves: list[Term], remaining: Counter, binding
 ) -> Iterator[dict[str, Term]]:
+    """All matches of a C-spine's pattern leaves against the multiset of the
+    term's leaves.  The leaves that need no choice of sub-multiset go first:
+    a constant or constructor pattern takes one term leaf, a bound variable
+    the leaves of its value.  Then an unbound variable that occurs m times is
+    bound once, to leaves that remain m times over, and the last one takes
+    what remains, so C(x, C(x, y)) lists no sub-multiset of distinct leaves.
+    """
     if not pleaves:
         if not remaining:
             yield binding
         return
-    p, rest = pleaves[0], pleaves[1:]
-    if isinstance(p, Var):
-        bound = binding.get(p.name)
-        if bound is not None:
-            need = Counter(spine(C, bound))
-            if all(remaining[k] >= n for k, n in need.items()):
-                yield from _ac_match_leaves(
-                    sig, orientation, C, rest, remaining - need, binding
-                )
+    for i, p in enumerate(pleaves):
+        if type(p) is not Var or p.name in binding:
+            break
+    else:  # unbound variables only: the first one's m occurrences go at once
+        p = pleaves[0]
+        rest = [q for q in pleaves if q.name != p.name]
+        m = len(pleaves) - len(rest)
+        if not rest and (not remaining or any(n % m for n in remaining.values())):
             return
         key = functools.cmp_to_key(lambda a, b: compare(sig, a, b))
-        items = sorted(remaining.items(), key=lambda kv: key(kv[0]))
-        for chosen in _submultisets(items):
+        fits = sorted((leaf for leaf, n in remaining.items() if n >= m), key=key)
+        items = [(leaf, remaining[leaf] // m) for leaf in fits]
+        for chosen in _submultisets(items) if rest else [Counter(dict(items))]:
             # chosen lists its leaves in items' order, so they come out sorted
             b2 = dict(binding)
             b2[p.name] = build_comb(
                 C, list(chosen.elements()), orientation.get(C, "right")
             )
+            taken = Counter({leaf: m * n for leaf, n in chosen.items()})
             yield from _ac_match_leaves(
-                sig, orientation, C, rest, remaining - chosen, b2
+                sig, orientation, C, rest, remaining - taken, b2
+            )
+        return
+    rest = pleaves[:i] + pleaves[i + 1 :]
+    if type(p) is Var:
+        need = Counter(spine(C, binding[p.name]))
+        if all(remaining[k] >= n for k, n in need.items()):
+            yield from _ac_match_leaves(
+                sig, orientation, C, rest, remaining - need, binding
             )
         return
     # non-variable pattern leaf consumes exactly one term leaf
-    tried: set[Term] = set()
     for leaf in list(remaining):
-        if leaf in tried:
-            continue
-        tried.add(leaf)
         for b in _ac_match(sig, orientation, p, leaf, binding):
             yield from _ac_match_leaves(
                 sig, orientation, C, rest, remaining - Counter([leaf]), b

@@ -153,7 +153,9 @@ class Signature:
     ``constructors`` is a sequence of ``(name, arg_sorts)`` pairs; every
     constructor produces the distinguished sort.  Argument sorts may be the
     data sort itself or a primitive type name.  ``arg_sorts`` maps each
-    constructor's name to its argument sorts.
+    constructor's name to its argument sorts.  ``check`` is the one
+    well-sortedness rule for a node: construct, normalize, the hash-consing
+    table and sort_of all judge each node through it.
     """
 
     def __init__(self, rdt_sort: str, constructors: Sequence[tuple[str, Sequence[str]]]):
@@ -188,6 +190,26 @@ class Signature:
             return self._decl[name]
         except KeyError:
             raise SignatureError(f"unknown constructor {name!r}") from None
+
+    def check(self, ctor: str, args: Sequence[Term], pattern: bool = False) -> None:
+        """Judge the node ctor(args), each argument read at its root alone
+        (root_sort): SignatureError for an unknown constructor, the node's or
+        an App argument's, or a wrong argument count; SortError for an
+        argument not of its declared sort."""
+        sorts = self.arg_sorts.get(ctor)
+        if sorts is None:
+            raise SignatureError(f"unknown constructor {ctor!r}")
+        if len(args) != len(sorts):
+            raise SignatureError(f"{ctor!r} expects {len(sorts)} arguments, got {len(args)}")
+        for a, s in zip(args, sorts):
+            if type(a) is App:
+                if a.ctor not in self._decl:
+                    raise SignatureError(f"unknown constructor {a.ctor!r}")
+                if s == self.rdt_sort:
+                    continue
+            elif root_sort(self, a, pattern) == s:
+                continue
+            raise SortError(f"ill-sorted argument for {ctor!r}: {a}")
 
     def index(self, name: str) -> int:
         try:
@@ -297,8 +319,12 @@ def fold(t: Term, leaf: Callable, node: Callable, args: Optional[Callable] = Non
 
 
 def root_sort(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
-    """Sort of t judged at its root alone, an App's arguments unchecked; None
-    if the root is ill-sorted (variables allowed in patterns)."""
+    """Sort of t judged at its root alone, as Signature.check reads an
+    argument: an App is of the data sort (check judges it as a node of its
+    own); None for an invalid constant, a variable outside a pattern, or
+    anything that is not a term."""
+    if type(t) is App:
+        return sig.rdt_sort
     if isinstance(t, Var):
         if not pattern:
             return None
@@ -309,10 +335,7 @@ def root_sort(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
             # bool is an int subtype but not a term constant
             if not isinstance(t.value, bool):
                 return t.ptype
-        return None
-    if t.ctor not in sig or len(t.args) != sig.declaration(t.ctor).arity:
-        return None
-    return sig.rdt_sort
+    return None
 
 
 def sort_of(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
@@ -320,11 +343,12 @@ def sort_of(sig: Signature, t: Term, pattern: bool = False) -> Optional[str]:
     result = root_sort(sig, t, pattern)
     if result is None:
         return None
-    for u in preorder(t):  # the walk reaches a node after its root is checked
-        if isinstance(u, App):
-            for a, s in zip(u.args, sig.declaration(u.ctor).arg_sorts):
-                if root_sort(sig, a, pattern) != s:
-                    return None
+    for u in preorder(t):
+        if type(u) is App:
+            try:
+                sig.check(u.ctor, u.args, pattern)
+            except (SignatureError, SortError):
+                return None
     return result
 
 
@@ -476,7 +500,8 @@ def format_term(t: Term) -> str:
         elif isinstance(u, Var):
             out.append(u.name)
         elif isinstance(u, Prim):
-            out.append(str(u.value) if u.ptype == "int" else f'"{_escape(u.value)}"')
+            v = u.value  # any value prints: error messages show ill-sorted constants
+            out.append(f'"{_escape(v)}"' if isinstance(v, str) else str(v))
         elif not u.args:
             out.append(u.ctor)
         else:

@@ -391,6 +391,30 @@ def test_a_comb_meets_a_leaf_by_one_insert(monkeypatch):
     assert leaves("P", nf) == sorted(parts, key=functools.cmp_to_key(lambda a, b: compare(sig, a, b)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_nilpotent_insert_of_an_absent_leaf_walks_the_comb_once(monkeypatch, n):
+    """Cancellation is found on the way to x's place: inserting a leaf that
+    is absent from an n-leaf nilpotent comb compares it with each leaf at
+    most once, wherever it goes."""
+    sig, fam = _syn_family("syn_nil")
+    comb = build_comb("P", [_s_power(2 * i) for i in range(n)], "right")
+    real_compare = builder.compare
+    calls = []
+
+    def counting_compare(*args):
+        calls.append(args)
+        return real_compare(*args)
+
+    monkeypatch.setattr(builder, "compare", counting_compare)
+    key = functools.cmp_to_key(lambda a, b: real_compare(sig, a, b))
+    for k in range(-1, 2 * n + 1, 2):
+        x = _s_power(k) if k >= 0 else App("B")
+        calls.clear()
+        value = insert("P", x, comb, fam)
+        assert len(calls) <= n + 1, (k, len(calls))
+        assert value == build_comb("P", sorted([*leaves("P", comb), x], key=key), "right")
+
+
 @pytest.mark.parametrize(
     "name", ["syn_ac", "syn_group", "syn_left_group", "syn_idem", "syn_nil"]
 )
@@ -650,3 +674,46 @@ def test_construct_checks_arity_and_sorts(exp):
     for bad in (Prim("int", "abc"), Prim("int", True), Prim("int", 2.5)):
         with pytest.raises(SortError):
             construct("Cons", (bad, App("Nil")), cell)
+
+
+NIL, ONE_INT = App("Nil"), Prim("int", 1)
+
+
+# (constructor, arguments, what construct, normalize and the table raise);
+# sort_of reads every row as None
+ILL_SORTED = [
+    pytest.param("Cons", (ONE_INT,), SignatureError, SortError, SignatureError, id="count"),
+    pytest.param("Nope", (), SignatureError, SortError, SignatureError, id="unknown"),
+    pytest.param(
+        "Cons", (ONE_INT, App("Nope")), SignatureError, SortError, SignatureError, id="unknown-arg"
+    ),
+    pytest.param("Cons", (Prim("int", True), NIL), SortError, SortError, SortError, id="bool"),
+    pytest.param("Cons", (Prim("int", 1.5), NIL), SortError, SortError, SortError, id="float"),
+    pytest.param("Cons", (Prim("int", "1"), NIL), SortError, SortError, SortError, id="str"),
+    pytest.param("Cons", (Prim("string", "a"), NIL), SortError, SortError, SortError, id="string"),
+    # the table admits (and rejects) the leaf before the node
+    pytest.param(
+        "Cons", (Prim("float", 1.0), NIL), SortError, SortError, SignatureError, id="float-type"
+    ),
+    pytest.param("Cons", (Var("n", "int"), NIL), SortError, SortError, SortError, id="var"),
+    pytest.param("Cons", (NIL, NIL), SortError, SortError, SortError, id="node-for-constant"),
+]
+
+
+@pytest.mark.parametrize("ctor, args, by_construct, by_normalize, by_table", ILL_SORTED)
+def test_every_entry_point_rejects_an_ill_sorted_node_by_one_rule(
+    ctor, args, by_construct, by_normalize, by_table
+):
+    sig, spec = parse_definition("type cell = Nil | Cons(int, cell)")
+    cell = compile_family(sig, spec)
+    node = App(ctor, args)
+    with pytest.raises(by_construct):
+        construct(ctor, args, cell)
+    with pytest.raises(by_normalize):
+        normalize(node, cell)
+    with pytest.raises(by_table):
+        HashConsTable(sig).canonical(node)
+    table = HashConsTable(sig)
+    with pytest.raises(by_table):
+        table.intern(ctor, [table.from_term(a) for a in args])
+    assert sort_of(sig, node) is None

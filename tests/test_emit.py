@@ -182,7 +182,6 @@ SHARED = [
     builder._merge,
     builder._cancel_inverses,
     builder.insert,
-    builder._remove_leaf,
     builder.delete,
     builder.insert_inv,
     builder.inverse_cf,

@@ -8,6 +8,7 @@ budget to answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import pathlib
@@ -31,6 +32,7 @@ from canonform import (
     algebraic_equal,
     closure_classes,
     closure_equal,
+    compare,
     compile_family,
     enumerate_ground,
     equations_of,
@@ -568,6 +570,144 @@ def test_find_redex_grouped_by_head_agrees_on_a_deep_term():
         hit = find_redex(sig, t, rules, orientation)
         assert _same_hit(hit, _ungrouped_find_redex(sig, t, rules, orientation))
     assert hit is not None
+
+
+# --- the AC leaf matcher -----------------------------------------------------------
+# The matcher as it was before the pattern leaves that need no choice went
+# first: each variable in spine order got every sub-multiset of what
+# remained.  find_redex returns a subterm and a rule, not a binding, so the
+# new matcher must find the same first hit.
+
+
+def reference_submultisets(items):
+    ranges = [range(n + 1) for _, n in items]
+    for counts in itertools.product(*ranges):
+        if not any(counts):
+            continue
+        yield Counter({t: c for (t, _), c in zip(items, counts) if c})
+
+
+def reference_ac_match(sig, orientation, p, t, binding):
+    if isinstance(p, Var):
+        bound = binding.get(p.name)
+        if bound is not None:
+            if bound == t:
+                yield binding
+            return
+        b2 = dict(binding)
+        b2[p.name] = t
+        yield b2
+        return
+    if isinstance(p, Prim):
+        if p == t:
+            yield binding
+        return
+    if p.ctor in orientation:
+        if not (isinstance(t, App) and t.ctor == p.ctor):
+            return
+        C = p.ctor
+        pleaves = acnf.spine(C, p)
+        tleaves = Counter(acnf.spine(C, t))
+        yield from reference_ac_match_leaves(sig, orientation, C, pleaves, tleaves, binding)
+        return
+    if not (isinstance(t, App) and t.ctor == p.ctor and len(t.args) == len(p.args)):
+        return
+    yield from reference_match_seq(sig, orientation, list(p.args), list(t.args), binding)
+
+
+def reference_match_seq(sig, orientation, ps, ts, binding):
+    if not ps:
+        yield binding
+        return
+    for b in reference_ac_match(sig, orientation, ps[0], ts[0], binding):
+        yield from reference_match_seq(sig, orientation, ps[1:], ts[1:], b)
+
+
+def reference_ac_match_leaves(sig, orientation, C, pleaves, remaining, binding):
+    if not pleaves:
+        if not remaining:
+            yield binding
+        return
+    p, rest = pleaves[0], pleaves[1:]
+    if isinstance(p, Var):
+        bound = binding.get(p.name)
+        if bound is not None:
+            need = Counter(acnf.spine(C, bound))
+            if all(remaining[k] >= n for k, n in need.items()):
+                yield from reference_ac_match_leaves(
+                    sig, orientation, C, rest, remaining - need, binding
+                )
+            return
+        key = functools.cmp_to_key(lambda a, b: compare(sig, a, b))
+        items = sorted(remaining.items(), key=lambda kv: key(kv[0]))
+        for chosen in reference_submultisets(items):
+            b2 = dict(binding)
+            b2[p.name] = acnf.build_comb(C, list(chosen.elements()), orientation.get(C, "right"))
+            yield from reference_ac_match_leaves(
+                sig, orientation, C, rest, remaining - chosen, b2
+            )
+        return
+    tried = set()
+    for leaf in list(remaining):
+        if leaf in tried:
+            continue
+        tried.add(leaf)
+        for b in reference_ac_match(sig, orientation, p, leaf, binding):
+            yield from reference_ac_match_leaves(
+                sig, orientation, C, rest, remaining - Counter([leaf]), b
+            )
+
+
+def reference_find_redex(sig, t, rules, orientation):
+    tc = acnf._recomb(t, orientation, acnf.spine, sig)
+    for sub in preorder(tc):
+        for rule in rules:
+            for _ in reference_ac_match(sig, orientation, rule.lhs, sub, {}):
+                return sub, rule
+    return None
+
+
+@pytest.mark.parametrize("name", ["vec", "left_group", "exp", "aci", "acnil", "free", "neu_rules"])
+def test_leaf_matcher_finds_the_hit_of_the_reference(name):
+    """The same (subterm, rule) as the matcher that listed every
+    sub-multiset for each variable in turn, on every term up to size 6 and
+    on its value."""
+    sig, spec, fam = load(name)
+    rules = oracle._presentation(fam, spec, sig)
+    orientation = fam.orientations()
+    hits = 0
+    for t in terms(name, 6):
+        for u in (t, normalize(t, fam)):
+            hit = find_redex(sig, u, rules, orientation)
+            assert _same_hit(hit, reference_find_redex(sig, u, rules, orientation)), u
+            hits += hit is not None
+    assert hits > 0 or not rules
+
+
+@pytest.mark.parametrize("name", ["syn_idem", "syn_nil"])
+def test_leaf_matcher_is_polynomial_in_the_distinct_leaves_of_a_comb(monkeypatch, name):
+    """A normal comb of 14 distinct leaves S^k(L) has no redex; the
+    reference matcher built a comb for each of its 2^14 - 1 sub-multisets
+    under C(x, C(x, y)), this one builds none for a variable that occurs
+    twice, and at most one per leaf for the last variable."""
+    sig, spec = parse_definition((SYN_DEFS / f"{name}.rdt").read_text())
+    fam = compile_family(sig, spec)
+    rules = oracle._presentation(fam, spec, sig)
+    real_build_comb = oracle.build_comb
+    calls = []
+
+    def counting_build_comb(*args):
+        calls.append(args)
+        return real_build_comb(*args)
+
+    monkeypatch.setattr(oracle, "build_comb", counting_build_comb)
+    chain = App("L")
+    for _ in range(13):
+        chain = App("S", (chain,))
+    leaves = list(preorder(chain))
+    value = normalize(functools.reduce(lambda t, leaf: App("P", (leaf, t)), leaves), fam)
+    assert find_redex(sig, value, rules, fam.orientations()) is None
+    assert len(calls) <= 14**2
 
 
 # --- the interpretation as one signed leaf multiset ------------------------------

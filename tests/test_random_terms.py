@@ -2,9 +2,11 @@
 
 The exhaustive checks stop at size 9 or so; here hypothesis draws
 well-sorted ground terms of 20-2,000 nodes, with sums bracketed at random,
-and checks that normalize keeps the algebraic key and is idempotent.  The
-example count comes from the hypothesis profile (tests/conftest.py): small
-by default, larger with HYPOTHESIS_PROFILE=ci.
+and checks that normalize keeps the algebraic key and is idempotent, that
+the generated module's normalize gives the same value on tuples, and that
+each value is AC-normal and leaves no redex of the theory's presentation.
+The example count comes from the hypothesis profile (tests/conftest.py):
+small by default, larger with HYPOTHESIS_PROFILE=ci.
 """
 
 from __future__ import annotations
@@ -15,8 +17,18 @@ import pathlib
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canonform import App, compile_family, normalize, parse_definition, semantic_key
-from canonform.terms import size
+from canonform import (
+    App,
+    compile_family,
+    find_redex,
+    is_ac_normal,
+    normalize,
+    parse_definition,
+    semantic_key,
+)
+from canonform import oracle
+from canonform.emit import emit_code
+from canonform.terms import fold, size
 
 from conftest import load
 
@@ -36,6 +48,23 @@ def family(name):
     return sig, compile_family(sig, spec)
 
 
+@functools.lru_cache(maxsize=None)
+def emitted(name):
+    """The family's generated normalize, and the rules of which its values
+    must hold no redex."""
+    sig, fam = family(name)
+    path = SYN_DEFS / f"{name}.rdt"
+    spec = parse_definition(path.read_text())[1] if path.exists() else load(name)[1]
+    ns: dict = {}
+    exec(emit_code(fam), ns)
+    return ns["normalize"], oracle._presentation(fam, spec, sig)
+
+
+def to_tuple(t):
+    """The generated module's form of a ground term."""
+    return fold(t, lambda u: u.value, lambda u, args: (u.ctor, *args))
+
+
 def random_term(sig, free, rng, n):
     """A ground term of the data sort with n or n - 1 nodes.  A binary node
     splits its budget at random, so sums come in every bracketing; no path
@@ -47,7 +76,8 @@ def random_term(sig, free, rng, n):
     nullary, binary = by_arity[0], by_arity.get(2, [])
 
     def build(n, depth):
-        unary = [c for c in by_arity.get(1, []) if c not in free or depth < MAX_FREE_DEPTH]
+        # a free unary node needs room for itself and for a free leaf below it
+        unary = [c for c in by_arity.get(1, []) if c not in free or depth + 1 < MAX_FREE_DEPTH]
         if not unary and n % 2 == 0:
             n -= 1  # binary nodes and leaves alone build odd sizes only
         if n == 1:
@@ -87,3 +117,15 @@ def test_normalize_keeps_the_key_of_random_terms(name, n, rng):
     v = normalize(t, fam)
     assert semantic_key(cl, sig, t) == semantic_key(cl, sig, v)
     assert normalize(v, fam) == v
+
+
+@given(st.sampled_from(FAMILIES), st.integers(20, 2000), st.randoms(use_true_random=False))
+def test_values_of_random_terms_agree_with_the_generated_module_and_hold_no_redex(name, n, rng):
+    sig, fam = family(name)
+    gen_normalize, rules = emitted(name)
+    orientation = fam.orientations()
+    t = random_term(sig, set(fam.classification.free), rng, n)
+    v = normalize(t, fam)
+    assert gen_normalize(to_tuple(t)) == to_tuple(v)
+    assert is_ac_normal(sig, v, orientation)
+    assert find_redex(sig, v, rules, orientation) is None
