@@ -252,12 +252,21 @@ def construct(
     fam: CompiledFamily,
     table: Optional[HashConsTable] = None,
 ) -> Term:
-    """Construction function f_ctor: canonical arguments in, canonical value out."""
+    """Construction function f_ctor: canonical arguments in, canonical value out.
+    With a table, a call over arguments it holds is memoized per family under
+    the table's node key (HashConsTable.memo): a repeat is one dict lookup."""
     args = tuple(args)
-    fam.sig.check(ctor, args)
-    result = _construct_entry(ctor, fam.entries[ctor], args, fam, table)
-    if table is not None:
-        result = table.canonical(result)
+    if table is None:
+        fam.sig.check(ctor, args)
+        return _construct_entry(ctor, fam.entries[ctor], args, fam, None)
+    memo = table.memo(fam)
+    key = (ctor, *map(id, args))
+    result = memo.get(key)
+    if result is None:
+        fam.sig.check(ctor, args)
+        result = table.canonical(_construct_entry(ctor, fam.entries[ctor], args, fam, table))
+        if all(id(a) in table._ids for a in args):
+            memo[key] = result
     return result
 
 

@@ -9,7 +9,8 @@ canonical object alive, so no identity in a key is ever reused, and a lookup
 never hashes a term or compares two: interning a node whose arguments are
 canonical costs O(arity) however large the term.  An object becomes
 canonical only if it is well sorted: a node by Signature.check, the rule
-construct and normalize apply too, a constant by its type.
+construct and normalize apply too, a constant by its type.  The same keys
+memoize construction: a call over canonical arguments is one lookup.
 
 Ids are table-scoped and carry no meaning across tables or runs; comparisons
 elsewhere stay structural.  Within one table, id equality coincides with
@@ -34,6 +35,7 @@ class HashConsTable:
         self._nodes: dict[tuple, Term] = {}  # key -> canonical object
         self._ids: dict[int, NodeId] = {}  # id of a canonical object -> its NodeId
         self._terms: list[Term] = []
+        self._memos: dict[int, tuple] = {}  # id of an owner -> (owner, its memo)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -113,6 +115,13 @@ class HashConsTable:
             else:
                 done.append(self._leaf(u))
         return ids[id(done[0])]
+
+    def memo(self, owner: object) -> dict:
+        """owner's memo, kept as long as the table: builder.construct files a
+        family's results here under node keys over canonical arguments only,
+        and the slot holds owner, so no id in a key or slot is ever reused."""
+        slot = self._memos.get(id(owner)) or self._memos.setdefault(id(owner), (owner, {}))
+        return slot[1]
 
     def canonical(self, t: Term) -> Term:
         """The one shared Term object structurally equal to t."""

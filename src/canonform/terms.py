@@ -502,6 +502,8 @@ def format_term(t: Term) -> str:
         elif isinstance(u, Prim):
             v = u.value  # any value prints: error messages show ill-sorted constants
             out.append(f'"{_escape(v)}"' if isinstance(v, str) else str(v))
+        elif type(u) is not App:  # not a term at all, as in an ill-sorted term's message
+            out.append(str(u))
         elif not u.args:
             out.append(u.ctor)
         else:

@@ -12,6 +12,7 @@ import functools
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -526,6 +527,18 @@ def test_normalize_reports_a_variable_before_an_ill_sorted_node():
     with pytest.raises(SortError, match="ground terms"):
         normalize(App("Cons", (Var("n", "int"), App("Nope"))), cell)
 
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_normalize_rejects_a_non_term_argument_as_ill_sorted(table):
+    """An argument that is not a term at all is an ill-sorted node, as
+    construct says, and the message prints it as it is."""
+    sig, fam = _syn_family("syn_ac")
+    for t, text in ((App("S", (5,)), "S(5)"), (App("P", (5, App("L"))), "P(5, L)")):
+        with pytest.raises(SortError, match="ill-sorted argument"):
+            construct(t.ctor, t.args, fam, HashConsTable(sig) if table else None)
+        with pytest.raises(SortError, match=re.escape(f"ill-sorted term: {text}")):
+            normalize(t, fam, HashConsTable(sig) if table else None)
 
 
 def test_normalize_sort_check_agrees_with_sort_of():

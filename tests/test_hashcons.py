@@ -6,6 +6,7 @@ of distinct subterms, computed here by brute-force set construction.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import re
@@ -19,6 +20,7 @@ from canonform import (
     Prim,
     SignatureError,
     SortError,
+    TheorySpec,
     Var,
     cli,
     compile_family,
@@ -29,6 +31,7 @@ from canonform import (
     parse_ground_term,
 )
 
+from canonform import builder
 from canonform.terms import size
 
 from conftest import FIXTURES, load, terms
@@ -426,3 +429,106 @@ def test_interning_an_equal_copy_neither_hashes_nor_compares_terms(monkeypatch):
     assert table.to_term(node) == t
     seen = distinct_subterms([t])
     assert table.sharing_stats() == (len(seen), sum(len(s.args) for s in seen if isinstance(s, App)))
+
+
+# --- construction memoized on the table ---------------------------------------
+
+AC_SUM = "type t = L | S(t) | P(t, t)\nwith P: associative, commutative\n"
+
+
+def s_power(k):
+    t = App("L")
+    for _ in range(k):
+        t = App("S", (t,))
+    return t
+
+
+def balanced_sum(leaves):
+    while len(leaves) > 1:
+        leaves = [App("P", tuple(leaves[i : i + 2])) if i + 1 < len(leaves) else leaves[i] for i in range(0, len(leaves), 2)]
+    return leaves[0]
+
+
+def count_entries(monkeypatch):
+    """Count the construction functions' runs (builder._construct_entry)."""
+    calls = []
+    real = builder._construct_entry
+
+    def counting_entry(ctor, entry, args, fam, table):
+        calls.append(ctor)
+        return real(ctor, entry, args, fam, table)
+
+    monkeypatch.setattr(builder, "_construct_entry", counting_entry)
+    return calls
+
+
+def test_normalizing_a_term_again_in_one_table_runs_no_construction_function(monkeypatch):
+    sig, spec = parse_definition(AC_SUM)
+    fam = compile_family(sig, spec)
+    rng = random.Random(18)
+    term = balanced_sum([s_power(rng.randrange(20)) for _ in range(60)])
+    table = HashConsTable(sig)
+    first = normalize(term, fam, table)
+    calls = count_entries(monkeypatch)
+    assert normalize(term, fam, table) is first
+    assert calls == []
+
+
+def test_repeated_leaves_run_each_construction_once(monkeypatch):
+    """A balanced sum of 200 leaves drawn from 4 distinct S^k(L): the
+    construction functions run at most once per distinct (ctor, arguments)
+    call, however often the sum repeats a leaf or a sub-sum."""
+    sig, spec = parse_definition(AC_SUM)
+    fam = compile_family(sig, spec)
+    rng = random.Random(4)
+    pool = [s_power(k) for k in (2, 7, 11, 19)]
+    term = balanced_sum([rng.choice(pool) for _ in range(200)])
+    distinct = set()
+    real_construct = builder.construct
+
+    def recording_construct(ctor, args, fam, table=None):
+        distinct.add((ctor, tuple(args)))  # structurally equal arguments are one canonical tuple
+        return real_construct(ctor, args, fam, table)
+
+    calls = count_entries(monkeypatch)
+    monkeypatch.setattr(builder, "construct", recording_construct)
+    value = normalize(term, fam, HashConsTable(sig))
+    monkeypatch.undo()
+    assert value == normalize(term, fam)
+    assert 0 < len(calls) <= len(distinct), (len(calls), len(distinct))
+
+
+def test_one_table_serves_two_families_of_one_signature():
+    """The memo belongs to a family: an AC and a free P over one signature
+    share a table, and each gets its own normal form in either order."""
+    sig, ac_spec = parse_definition(AC_SUM)
+    ac, free = compile_family(sig, ac_spec), compile_family(sig, TheorySpec())
+    term = App("P", (App("P", (s_power(3), App("L"))), s_power(1)))
+    pairs = [(ac, normalize(term, ac)), (free, term)]
+    assert pairs[0][1] != term
+    for order in (pairs, pairs[::-1]):
+        table = HashConsTable(sig)
+        for _ in range(2):
+            for fam, expected in order:
+                value = normalize(term, fam, table)
+                assert value == expected and value is table.canonical(expected)
+
+
+def test_construct_on_arguments_outside_the_table_is_right_and_stores_no_stale_id():
+    """Arguments the table does not hold are never memoized: their ids may
+    be reused once they are collected, so a key on them could later match
+    another term.  Every key left in a memo names a live canonical object."""
+    sig, spec = parse_definition(AC_SUM)
+    fam = compile_family(sig, spec)
+    table = HashConsTable(sig)
+    rng = random.Random(9)
+    normalize(balanced_sum([s_power(rng.randrange(6)) for _ in range(20)]), fam, table)
+    for _ in range(300):
+        args = (s_power(rng.randrange(6)), balanced_sum([s_power(rng.randrange(6)) for _ in range(3)]))
+        args = (args[0], normalize(args[1], fam))  # a normal comb built outside the table
+        value = construct("P", args, fam, table)
+        assert value == construct("P", args, fam) and value is table.canonical(value)
+        del args, value
+    gc.collect()
+    keys = [key for _, memo in table._memos.values() for key in memo]
+    assert keys and all(i in table._ids for key in keys for i in key[1:])
