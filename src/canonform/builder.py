@@ -52,7 +52,10 @@ place, drops it, rebuilds the leaves it passed over the rest, and lets the
 absorber re-enter through the construction function, which places it.
 
 construct and normalize reject ill-sorted input by Signature.check, the
-one well-sortedness rule of the package.
+one well-sortedness rule of the package.  With a hash-consing table only
+construct interns (normalize adds its input's constants): the shared blocks
+hand the table on to nothing else, so no node built only to compare against
+reaches it.
 
 Normalizing a whole term is the bottom-up fold of the construction
 functions.  It runs over explicit stacks and calls them in the order a
@@ -66,7 +69,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .acnf import comb_sign
@@ -114,41 +116,19 @@ class Type1Entry:
 
 @dataclass(frozen=True)
 class Type2Entry:
-    """An AC constructor's theory; the derived attributes are computed on
-    first access and then read as plain instance attributes, since insert
-    consults them on every step."""
+    """An AC constructor's theory and the fields the AC functions read on
+    every step, filled once by compile_family.  sign is the comb view
+    (acnf.comb_sign): as a factor on compare it makes c <= 0 mean "x goes
+    on the exposed side of y" in both orientations."""
 
     theory: Type2Theory
-
-    @cached_property
-    def orientation(self) -> str:
-        return self.theory.orientation
-
-    @cached_property
-    def sign(self) -> int:
-        """The comb view (acnf.comb_sign); as a factor on compare it makes
-        c <= 0 mean "x goes on the exposed side of y" in both orientations."""
-        return comb_sign(self.orientation)
-
-    @cached_property
-    def inverse(self) -> Optional[str]:
-        return self.theory.inverse
-
-    @cached_property
-    def unit(self) -> Optional[Term]:
-        return App(self.theory.unit) if self.theory.unit is not None else None
-
-    @cached_property
-    def absorber(self) -> Optional[Term]:
-        return App(self.theory.absorber) if self.theory.absorber is not None else None
-
-    @cached_property
-    def idem(self) -> bool:
-        return self.theory.variant in IDEM_VARIANTS
-
-    @cached_property
-    def nil(self) -> bool:
-        return self.theory.variant in NIL_VARIANTS
+    orientation: str
+    sign: int
+    inverse: Optional[str]
+    unit: Optional[Term]
+    absorber: Optional[Term]
+    idem: bool
+    nil: bool
 
 
 @dataclass(frozen=True)
@@ -219,7 +199,12 @@ def compile_family(sig: Signature, spec: TheorySpec) -> CompiledFamily:
     for d in sig.constructors:
         name = d.name
         if name in cl.carrier:
-            entries[name] = Type2Entry(cl.carrier[name])
+            th = cl.carrier[name]
+            unit, absorber = (App(c) if c is not None else None for c in (th.unit, th.absorber))
+            idem, nil = th.variant in IDEM_VARIANTS, th.variant in NIL_VARIANTS
+            entries[name] = Type2Entry(
+                th, th.orientation, comb_sign(th.orientation), th.inverse, unit, absorber, idem, nil
+            )
         elif name in cl.inverse_of:
             entries[name] = InverseEntry(cl.inverse_of[name].ctor)
         elif name in clauses:
@@ -253,8 +238,8 @@ def construct(
     table: Optional[HashConsTable] = None,
 ) -> Term:
     """Construction function f_ctor: canonical arguments in, canonical value out.
-    With a table, a call over arguments it holds is memoized per family under
-    the table's node key (HashConsTable.memo): a repeat is one dict lookup."""
+    With a table, the value is the table's object, and a call over arguments it
+    holds is memoized per family under the table's node key (HashConsTable.memo)."""
     args = tuple(args)
     if table is None:
         fam.sig.check(ctor, args)
@@ -276,7 +261,9 @@ def construct(
 # them), touch terms only through _is_c, _ctor, _split, _make, compare and
 # type(t) is Var, read entries only through their attributes and their
 # kind, type(entry), and mark pending work on a stack with a list, since
-# tuples are terms there.
+# tuples are terms there.  They hand table on only to construct, the one
+# function that interns: they call no method of it, and what they build is
+# plain until construct makes its result canonical.
 # --- begin shared engine block ---
 def _construct_entry(ctor, entry, args, fam, table):
     """f_ctor on arguments of the right number and sorts, by entry kind."""
@@ -324,7 +311,7 @@ def _eval_rhs(rhs, binding, fam, table):
         elif type(u) is Var:
             done.append(binding[u.name])
         elif _ctor(u) is None:
-            done.append(table.canonical(u) if table is not None else u)
+            done.append(u)
         else:
             args = _split(u, 1)
             todo.append([_ctor(u), len(args)])
@@ -532,7 +519,8 @@ def insert_inv(ctor, x_inv, y, fam, table=None):
 
 
 def inverse_cf(inv_ctor, v, fam, table=None):
-    """Construction function f_I: push inversion down to the leaves."""
+    """Construction function f_I: push inversion down to the leaves.  A
+    leaf's inverse is a plain node, in a table only if a value keeps it."""
     entry = fam.entries[inv_ctor]
     if not isinstance(entry, InverseEntry):
         raise TheoryError(f"{inv_ctor!r} is not the inverse of an AC constructor")
@@ -542,8 +530,7 @@ def inverse_cf(inv_ctor, v, fam, table=None):
     if _is_c(v, inv_ctor):
         return _split(v, 1)[0]
     if not _is_c(v, carrier):
-        result = _make(inv_ctor, (v,))
-        return table.canonical(result) if table is not None else result
+        return _make(inv_ctor, (v,))
     # f_I(C(x, y)) = f_C(f_I(y), f_I(x)), folded with a stack of pending
     # nodes: y is inverted before x, and each f_C runs once both are done
     done = []

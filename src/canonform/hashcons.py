@@ -11,6 +11,8 @@ canonical costs O(arity) however large the term.  An object becomes
 canonical only if it is well sorted: a node by Signature.check, the rule
 construct and normalize apply too, a constant by its type.  The same keys
 memoize construction: a call over canonical arguments is one lookup.
+Only construct interns values (normalize adds its input's constants), so a
+table holds the canonical subterms of inputs and construction results.
 
 Ids are table-scoped and carry no meaning across tables or runs; comparisons
 elsewhere stay structural.  Within one table, id equality coincides with

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import pathlib
 import random
 import re
 
@@ -532,3 +533,18 @@ def test_construct_on_arguments_outside_the_table_is_right_and_stores_no_stale_i
     gc.collect()
     keys = [key for _, memo in table._memos.values() for key in memo]
     assert keys and all(i in table._ids for key in keys for i in key[1:])
+
+
+def test_a_group_sum_interns_no_inverse_it_built_only_to_cancel():
+    """To cancel a leaf x against a group sum the builder inverts x and
+    looks for N(x).  That node belongs to no value, so the table holds only
+    the canonical subterms of the input and of the construction results:
+    here the 5 nodes and 6 edges of P(L, P(S(L), S(S(L)))) itself."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "defs" / "syn_group.rdt"
+    sig, spec = parse_definition(path.read_text())
+    fam = compile_family(sig, spec)
+    term = parse_ground_term("P(L, P(S(L), S(S(L))))", sig)
+    table = HashConsTable(sig)
+    assert normalize(term, fam, table) == term
+    assert [t for t in table._terms if isinstance(t, App) and t.ctor == "N"] == []
+    assert table.sharing_stats() == (5, 6)

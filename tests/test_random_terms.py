@@ -4,7 +4,8 @@ The exhaustive checks stop at size 9 or so; here hypothesis draws
 well-sorted ground terms of 20-2,000 nodes, with sums bracketed at random,
 and checks that normalize keeps the algebraic key and is idempotent, that
 the generated module's normalize gives the same value on tuples, and that
-each value is AC-normal and leaves no redex of the theory's presentation.
+each value is AC-normal and leaves no redex of the theory's presentation,
+and that normalizing in a hash-consing table gives the same value, shared.
 The example count comes from the hypothesis profile (tests/conftest.py):
 small by default, larger with HYPOTHESIS_PROFILE=ci.
 """
@@ -13,12 +14,14 @@ from __future__ import annotations
 
 import functools
 import pathlib
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from canonform import (
     App,
+    HashConsTable,
     compile_family,
     find_redex,
     is_ac_normal,
@@ -26,7 +29,7 @@ from canonform import (
     parse_definition,
     semantic_key,
 )
-from canonform import oracle
+from canonform import builder, oracle
 from canonform.emit import emit_code
 from canonform.terms import fold, size
 
@@ -129,3 +132,47 @@ def test_values_of_random_terms_agree_with_the_generated_module_and_hold_no_rede
     assert gen_normalize(to_tuple(t)) == to_tuple(v)
     assert is_ac_normal(sig, v, orientation)
     assert find_redex(sig, v, rules, orientation) is None
+
+
+@given(st.sampled_from(FAMILIES), st.integers(20, 2000), st.randoms(use_true_random=False))
+def test_normalizing_random_terms_in_a_table_gives_the_plain_value_once(name, n, rng):
+    sig, fam = family(name)
+    t = random_term(sig, set(fam.classification.free), rng, n)
+    table = HashConsTable(sig)
+    v = normalize(t, fam, table)
+    assert v == normalize(t, fam)
+    assert normalize(t, fam, table) is v
+
+
+def test_the_value_checks_catch_the_sabotaged_inserts_of_criterion_7(monkeypatch):
+    """The checks above on 30 vec terms of 20-200 nodes, under the two
+    sabotaged builds of criterion 7.  An insert that does not sort leaves
+    values that are not AC-normal; a group insert that never cancels leaves
+    a redex x + Opp(x).  Both builds keep every leaf, so the key check
+    cannot see either; of the checks on a value alone, only the redex
+    check sees the second."""
+    sig, fam = family("vec")
+    _, rules = emitted("vec")
+    orientation = fam.orientations()
+    free = set(fam.classification.free)
+    ts = []
+    for k in range(30):
+        rng = random.Random(k)
+        ts.append(random_term(sig, free, rng, rng.randint(20, 200)))
+    real_insert = builder.insert
+
+    def unsorted_insert(ctor, x, u, fam, table=None):
+        return App(ctor, (x, u))
+
+    def never_cancel(ctor, x_inv, y, fam, table=None):
+        inv = fam.entries[ctor].theory.inverse
+        return real_insert(ctor, builder.inverse_cf(inv, x_inv, fam, table), y, fam, table)
+
+    values = [normalize(t, fam) for t in ts]
+    assert all(is_ac_normal(sig, v, orientation) for v in values)
+    assert all(find_redex(sig, v, rules, orientation) is None for v in values)
+    monkeypatch.setattr(builder, "insert", unsorted_insert)
+    assert any(not is_ac_normal(sig, normalize(t, fam), orientation) for t in ts)
+    monkeypatch.undo()
+    monkeypatch.setattr(builder, "insert_inv", never_cancel)
+    assert any(find_redex(sig, normalize(t, fam), rules, orientation) is not None for t in ts)
