@@ -30,7 +30,7 @@ from .errors import (
     SortError,
     TheoryError,
 )
-from .hashcons import HashConsTable, NodeId
+from .hashcons import HashConsTable
 from .oracle import (
     ClosureBudget,
     ValidationReport,

@@ -122,7 +122,6 @@ class Type2Entry:
     on the exposed side of y" in both orientations."""
 
     theory: Type2Theory
-    orientation: str
     sign: int
     inverse: Optional[str]
     unit: Optional[Term]
@@ -202,9 +201,7 @@ def compile_family(sig: Signature, spec: TheorySpec) -> CompiledFamily:
             th = cl.carrier[name]
             unit, absorber = (App(c) if c is not None else None for c in (th.unit, th.absorber))
             idem, nil = th.variant in IDEM_VARIANTS, th.variant in NIL_VARIANTS
-            entries[name] = Type2Entry(
-                th, th.orientation, comb_sign(th.orientation), th.inverse, unit, absorber, idem, nil
-            )
+            entries[name] = Type2Entry(th, comb_sign(th.orientation), th.inverse, unit, absorber, idem, nil)
         elif name in cl.inverse_of:
             entries[name] = InverseEntry(cl.inverse_of[name].ctor)
         elif name in clauses:
@@ -250,7 +247,7 @@ def construct(
     if result is None:
         fam.sig.check(ctor, args)
         result = table.canonical(_construct_entry(ctor, fam.entries[ctor], args, fam, table))
-        if all(id(a) in table._ids for a in args):
+        if all(map(table.holds, args)):
             memo[key] = result
     return result
 

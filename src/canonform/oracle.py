@@ -212,7 +212,7 @@ class _States(HashConsTable):
                 ctor, n = u
                 args = tuple(done[-n:])
                 del done[-n:]
-                done.append(self._node(ctor, args))
+                done.append(self.node(ctor, args))
             elif isinstance(u, Var):
                 done.append(binding[u.name])
             elif isinstance(u, App) and u.args:
@@ -251,7 +251,7 @@ def _neighbors(
         states = _States()
         t = states.canonical(t)
         directed = [states.rule(l, r) for l, r in directed]
-    size, node = states.size, states._node
+    size, node = states.size, states.node
     # a subterm with its ancestors: (parent, argument index, parent's chain)
     stack: list = [(t, None)]
     while stack:

@@ -206,11 +206,11 @@ def test_criterion_6_maximal_sharing():
     universe = terms("exp", 7)
 
     table = HashConsTable(sig)
-    ids = [table.from_term(t) for t in universe]
-    # (a) id equality coincides with structural equality
-    assert len(set(ids)) == len(universe)
-    for t, i in zip(universe, ids):
-        assert table.from_term(t) == i
+    reps = [table.from_term(t) for t in universe]
+    # (a) identity coincides with structural equality
+    assert len({id(r) for r in reps}) == len(universe)
+    for t, r in zip(universe, reps):
+        assert table.from_term(t) is r
 
     # (b) node count equals the brute-force distinct-subterm count
     distinct = set()
@@ -231,7 +231,7 @@ def test_criterion_6_maximal_sharing():
         assert a == b
         assert format_term(a) == format_term(b)
     print(
-        f"criterion 6: PASS — {len(universe)} interned terms of size <= 7: ids "
+        f"criterion 6: PASS — {len(universe)} interned terms of size <= 7: identities "
         f"mirror structure, {nodes} nodes = distinct subterms, shared and plain "
         f"normal forms identical"
     )

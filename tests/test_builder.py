@@ -180,11 +180,11 @@ def test_type2_entry_attributes_are_computed_once():
     for name, (ctor, unit, absorber, inverse, idem, nil) in cases.items():
         entry = load(name)[2].entries[ctor]
         assert (entry.unit, entry.absorber, entry.inverse) == (unit, absorber, inverse)
-        assert (entry.idem, entry.nil, entry.orientation) == (idem, nil, "right")
+        assert (entry.idem, entry.nil, entry.theory.orientation) == (idem, nil, "right")
         assert entry.sign == 1
         assert entry.unit is entry.unit and entry.absorber is entry.absorber
     left = load("left_group")[2].entries["Plus"]
-    assert (left.orientation, left.sign, left.inverse) == ("left", -1, "Opp")
+    assert (left.theory.orientation, left.sign, left.inverse) == ("left", -1, "Opp")
 
 
 # One signature for every catalog row: Z is the unit and O the absorber where
@@ -265,7 +265,7 @@ def test_comb_merge_equals_the_leaf_at_a_time_fold(variant, assoc):
     time gives, in the library and in the generated module alike."""
     sig, fam, ns = _catalog_family(variant, assoc)
     entry = fam.entries["P"]
-    orientation = entry.orientation
+    orientation = entry.theory.orientation
     A, O, N = App("A"), App("O"), lambda t: App("N", (t,))
     # few distinct leaves, so equal leaves, x next to N(x) and the absorber O
     # are common; every pool entry is a canonical non-P leaf
@@ -710,6 +710,9 @@ ILL_SORTED = [
     ),
     pytest.param("Cons", (Var("n", "int"), NIL), SortError, SortError, SortError, id="var"),
     pytest.param("Cons", (NIL, NIL), SortError, SortError, SortError, id="node-for-constant"),
+    # judged before a key is built from them
+    pytest.param("Cons", (Prim("int", [1]), NIL), SortError, SortError, SortError, id="unhashable"),
+    pytest.param("Cons", (5, NIL), SortError, SortError, SortError, id="non-term"),
 ]
 
 
@@ -722,11 +725,16 @@ def test_every_entry_point_rejects_an_ill_sorted_node_by_one_rule(
     node = App(ctor, args)
     with pytest.raises(by_construct):
         construct(ctor, args, cell)
+    with pytest.raises(by_construct):
+        construct(ctor, args, cell, HashConsTable(sig))
+    # a node construct accepts, over this one: only the table judges below it
+    with pytest.raises(by_table):
+        construct("Cons", (ONE_INT, node), cell, HashConsTable(sig))
     with pytest.raises(by_normalize):
         normalize(node, cell)
     with pytest.raises(by_table):
         HashConsTable(sig).canonical(node)
     table = HashConsTable(sig)
     with pytest.raises(by_table):
-        table.intern(ctor, [table.from_term(a) for a in args])
+        table.canonical(App(ctor, tuple(map(table.canonical, args))))
     assert sort_of(sig, node) is None

@@ -1,4 +1,4 @@
-"""Maximal sharing: interning, id/structure agreement, sharing statistics.
+"""Maximal sharing: interning, identity/structure agreement, sharing statistics.
 
 The reference predicate for "how many nodes should exist" is the number
 of distinct subterms, computed here by brute-force set construction.
@@ -11,12 +11,12 @@ import itertools
 import pathlib
 import random
 import re
+import weakref
 
 import pytest
 
 from canonform import (
     App,
-    CanonError,
     HashConsTable,
     Prim,
     SignatureError,
@@ -64,17 +64,21 @@ def distinct_subterms(ts) -> set:
 def test_intern_is_idempotent_and_shared():
     sig, _, _ = load("exp")
     table = HashConsTable(sig)
-    one = table.intern("One", ())
-    assert table.intern("One", ()) == one
-    s = table.intern("Plus", (one, one))
-    assert table.intern("Plus", (one, one)) == s
-    assert s != one
+    one = table.canonical(App("One"))
+    assert table.canonical(App("One")) is one
+    s = table.canonical(plus(one, one))
+    assert table.canonical(plus(one, one)) is s
+    assert table.canonical(plus(ONE, ONE)) is s
+    assert table.node("Plus", (one, one)) is s
+    assert table.node("Plus", (ONE, App("One"))) is s  # arguments it does not hold are interned first
+    assert s is not one
     # Plus(One, One) holds exactly two nodes and two edges
     assert table.sharing_stats() == (2, 2)
-    assert table.to_term(s) == plus(ONE, ONE)
-    # both children resolve to the very same object
-    term = table.to_term(s)
-    assert term.args[0] is term.args[1]
+    assert s == plus(ONE, ONE)
+    # both children are the very same object
+    assert s.args[0] is s.args[1] is one
+    assert table.holds(s) and table.holds(one)
+    assert not table.holds(ONE) and not table.holds(plus(one, one))
 
 
 def test_empty_table():
@@ -88,85 +92,71 @@ def test_from_term_round_trip():
     sig, _, _ = load("exp")
     table = HashConsTable(sig)
     for t in [ZERO, opp(ONE), plus(opp(ONE), plus(ZERO, ONE))]:
-        assert table.to_term(table.from_term(t)) == t
-        assert table.canonical(t) == t
+        assert table.from_term(t) == t
+        assert table.canonical(t) is table.from_term(t)
         assert table.canonical(t) is table.canonical(t)
-
-
-def test_node_count_equals_distinct_subterm_count():
-    sig, _, _ = load("exp")
-    table = HashConsTable(sig)
-    universe = terms("exp", 6)
-    for t in universe:
-        table.from_term(t)
-    nodes, _edges = table.sharing_stats()
-    assert nodes == len(distinct_subterms(universe))
-
-
-def test_id_equality_coincides_with_structural_equality():
-    sig, _, _ = load("exp")
-    table = HashConsTable(sig)
-    universe = terms("exp", 7)
-    ids = [table.from_term(t) for t in universe]
-    # enumeration yields pairwise distinct terms, so ids must be distinct
-    assert len(set(ids)) == len(universe)
-    for t, i in zip(universe, ids):
-        assert table.from_term(t) == i
 
 
 def test_error_paths():
     sig, _, _ = load("exp")
     table = HashConsTable(sig)
-    with pytest.raises(CanonError):
-        table.to_term(0)  # nothing interned yet
-    with pytest.raises(CanonError):
-        table.to_term("zero")
     with pytest.raises(SignatureError):
-        table.intern("Mystery", ())
-    one = table.intern("One", ())
+        table.canonical(App("Mystery"))
+    one = table.canonical(App("One"))
     with pytest.raises(SignatureError):
-        table.intern("Plus", (one,))  # Plus is binary
+        table.canonical(App("Plus", (one,)))  # Plus is binary
     with pytest.raises(SignatureError):
-        table.intern_prim("float", 1.0)
+        table.canonical(Prim("float", 1.0))
     with pytest.raises(SortError):
         table.from_term(Var("x", "exp"))
+    for bad in (Prim("int", [1]), 5, (one, 2), None):  # unhashable, or no term at all
+        with pytest.raises(SortError):
+            table.canonical(bad)
+        with pytest.raises(SortError):
+            table.canonical(plus(one, bad))
+    assert table.sharing_stats() == (1, 0)  # One alone: nothing bad got in
 
 
 def test_prim_interning():
     text = "type cell = Nil | Cons(int, cell)"
     sig, spec = parse_definition(text)
     table = HashConsTable(sig)
-    five = table.intern_prim("int", 5)
-    assert table.intern_prim("int", 5) == five
-    assert table.to_term(five) == Prim("int", 5)
+    five = table.canonical(Prim("int", 5))
+    assert table.canonical(Prim("int", 5)) is five
+    assert five == Prim("int", 5)
+    assert table.canonical(Prim("string", "5")) is not five
     with pytest.raises(SortError):
-        table.intern_prim("int", True)  # bools are not int constants
+        table.canonical(Prim("int", True))  # bools are not int constants
+    with pytest.raises(SortError):
+        table.canonical(Prim("int", [5]))  # judged before it is hashed into a key
 
 
 def test_ill_sorted_children_are_rejected():
     # construct rejects these values, so the table must not hold them either
     sig, _ = parse_definition("type cell = Nil | Cons(int, cell)")
     table = HashConsTable(sig)
-    nil, one = table.intern("Nil", ()), table.intern_prim("int", 1)
+    nil, one = table.canonical(App("Nil")), table.canonical(Prim("int", 1))
     with pytest.raises(SortError):
-        table.intern("Cons", (nil, nil))
+        table.canonical(App("Cons", (nil, nil)))
     with pytest.raises(SortError):
-        table.intern("Cons", (one, one))
+        table.canonical(App("Cons", (one, one)))
     with pytest.raises(SortError):
         table.canonical(App("Cons", (App("Nil"), App("Nil"))))
     with pytest.raises(SortError):
         table.canonical(App("Cons", (Prim("int", 1), Prim("int", 2))))
-    stored = [table.to_term(i) for i in range(len(table))]
-    assert not any(isinstance(t, App) and t.ctor == "Cons" for t in stored)
-    good = table.intern("Cons", (one, nil))
-    assert table.canonical(App("Cons", (Prim("int", 1), App("Nil")))) is table.to_term(good)
+    with pytest.raises(SortError):  # a bad constant below a node construct accepts
+        table.canonical(App("Cons", (Prim("int", 1), App("Cons", (Prim("int", [1]), nil)))))
+    assert table.sharing_stats()[1] == 0  # no Cons node: it is the only one with arguments
+    good = table.canonical(App("Cons", (one, nil)))
+    assert table.canonical(App("Cons", (Prim("int", 1), App("Nil")))) is good
+    assert good.args[0] is one and good.args[1] is nil
 
 
 def test_bool_constant_is_rejected_after_its_int_twin_is_interned():
     # True == 1 with equal hashes: the check must not depend on what the table holds
     sig, _ = parse_definition("type cell = Nil | Cons(int, cell)")
     table = HashConsTable(sig)
-    table.intern_prim("int", 1)
+    table.canonical(Prim("int", 1))
     with pytest.raises(SortError):
         table.from_term(Prim("int", True))
     with pytest.raises(SortError):
@@ -424,10 +414,10 @@ def test_interning_an_equal_copy_neither_hashes_nor_compares_terms(monkeypatch):
     monkeypatch.setattr(App, "__hash__", counting_hash)
     table = HashConsTable(sig)
     node = table.from_term(t)
-    assert table.from_term(twin) == node
+    assert table.from_term(twin) is node
     assert counts == {"eq": 0, "hash": 0}
     monkeypatch.undo()
-    assert table.to_term(node) == t
+    assert node == t
     seen = distinct_subterms([t])
     assert table.sharing_stats() == (len(seen), sum(len(s.args) for s in seen if isinstance(s, App)))
 
@@ -515,24 +505,35 @@ def test_one_table_serves_two_families_of_one_signature():
                 assert value == expected and value is table.canonical(expected)
 
 
-def test_construct_on_arguments_outside_the_table_is_right_and_stores_no_stale_id():
+def test_construct_on_arguments_outside_the_table_is_right_and_stores_no_stale_id(monkeypatch):
     """Arguments the table does not hold are never memoized: their ids may
     be reused once they are collected, so a key on them could later match
-    another term.  Every key left in a memo names a live canonical object."""
+    another term.  Every key left in a memo names a live canonical object:
+    construct saw it as an argument, it is still alive, and the table holds it."""
     sig, spec = parse_definition(AC_SUM)
     fam = compile_family(sig, spec)
     table = HashConsTable(sig)
+    seen: dict[int, list] = {}  # id -> weak references to every argument construct got with it
+    real_construct = builder.construct
+
+    def recording_construct(ctor, args, fam, table=None):
+        for a in args:
+            seen.setdefault(id(a), []).append(weakref.ref(a))
+        return real_construct(ctor, args, fam, table)
+
+    monkeypatch.setattr(builder, "construct", recording_construct)
     rng = random.Random(9)
     normalize(balanced_sum([s_power(rng.randrange(6)) for _ in range(20)]), fam, table)
     for _ in range(300):
         args = (s_power(rng.randrange(6)), balanced_sum([s_power(rng.randrange(6)) for _ in range(3)]))
         args = (args[0], normalize(args[1], fam))  # a normal comb built outside the table
-        value = construct("P", args, fam, table)
+        value = builder.construct("P", args, fam, table)
         assert value == construct("P", args, fam) and value is table.canonical(value)
         del args, value
+    monkeypatch.undo()
     gc.collect()
-    keys = [key for _, memo in table._memos.values() for key in memo]
-    assert keys and all(i in table._ids for key in keys for i in key[1:])
+    keys = list(table.memo(fam))
+    assert keys and all(any(table.holds(r()) for r in seen[i]) for key in keys for i in key[1:])
 
 
 def test_a_group_sum_interns_no_inverse_it_built_only_to_cancel():
@@ -545,6 +546,7 @@ def test_a_group_sum_interns_no_inverse_it_built_only_to_cancel():
     fam = compile_family(sig, spec)
     term = parse_ground_term("P(L, P(S(L), S(S(L))))", sig)
     table = HashConsTable(sig)
-    assert normalize(term, fam, table) == term
-    assert [t for t in table._terms if isinstance(t, App) and t.ctor == "N"] == []
+    value = normalize(term, fam, table)
+    assert value == term
     assert table.sharing_stats() == (5, 6)
+    assert all(map(table.holds, distinct_subterms([value])))  # the 5 nodes: no N(x) among them
