@@ -60,7 +60,9 @@ reaches it.
 Normalizing a whole term is the bottom-up fold of the construction
 functions.  It runs over explicit stacks and calls them in the order a
 recursive fold would, so no nesting depth of the input reaches Python's
-recursion limit.  A free node whose arguments are already normal is its own
+recursion limit.  It folds each distinct subterm object once: a subterm the
+input shares (a parsed term shares its equal subterms) is built once, where
+it first occurs.  A free node whose arguments are already normal is its own
 value, so without a hash-consing table the fold keeps it as it is.
 """
 
@@ -546,47 +548,72 @@ def inverse_cf(inv_ctor, v, fam, table=None):
 # --- end shared AC block ---
 
 
+_FINISHED = object()  # marks a node on normalize's stack whose arguments are walked
+
+
 def normalize(
     t: Term, fam: CompiledFamily, table: Optional[HashConsTable] = None
 ) -> Term:
     """Bottom-up fold of the construction functions over a ground term.
 
-    Without a table, a node whose constructor is free and whose arguments
-    all come back as the very objects they were is already its own value
-    (f_C(args) = C(args)), so the fold keeps that node and makes no
-    construct call for it: a free-only term is returned as it is.  With a
-    table every node goes through construct, which interns it.
+    Each distinct App object of t is checked and folded once, so a subterm
+    that t shares (as parsed terms share equal subterms) costs one
+    construction, however often it occurs; on a tree the construct calls
+    are those of a recursive left-to-right fold.  Without a table, a node
+    whose constructor is free and whose arguments all come back as the very
+    objects they were is already its own value (f_C(args) = C(args)), so
+    the fold keeps that node and makes no construct call for it: a
+    free-only term is returned as it is.  With a table every node goes
+    through construct, which interns it.
     """
     sig = fam.sig
     check = sig.check
-    # One walk checks the term and lists its nodes in preorder, arguments
-    # pushed left to right, so that the reversed list is the left-to-right
-    # postorder in which a recursive fold would construct.  Each App is
-    # checked once, as a node (Signature.check), an App child being of the
-    # data sort (its own check comes when the walk reaches it).  A variable
-    # anywhere outranks an ill-sorted node.
+    # One left-to-right walk checks each distinct App once, as a node
+    # (Signature.check), an App child being of the data sort (its own check
+    # comes when the walk reaches it), and lists the occurrences in
+    # postorder.  An App met again is listed by its id and not walked into.
+    # A variable anywhere outranks an ill-sorted node.
     well_sorted = root_sort(sig, t) is not None
     order = []
+    seen = set()  # ids of the Apps walked; t keeps them alive, so ids are stable
+    again = set()  # ids of the Apps that occur more than once
     stack = [t]
+    finished = _FINISHED
     while stack:
         u = stack.pop()
-        order.append(u)
-        if type(u) is App:
-            stack += u.args
+        if u is finished:
+            order.append(stack.pop())
+            continue
+        # down the first arguments, leaving each node and its later arguments
+        # on the stack, to a leaf, a nullary App or an App met again
+        while type(u) is App:
+            i = id(u)
+            if i in seen:
+                again.add(i)
+                u = i
+                break
+            seen.add(i)
             if well_sorted:
                 try:
                     check(u.ctor, u.args)
                 except (SignatureError, SortError):
                     well_sorted = False
-        elif isinstance(u, Var):
+            if not u.args:
+                break
+            stack += (u, finished)
+            stack += u.args[:0:-1]
+            u = u.args[0]
+        if isinstance(u, Var):
             raise SortError("normalize takes ground terms")
+        order.append(u)
     if not well_sorted:
         raise SortError(f"ill-sorted term: {t}")
 
     entries = fam.entries
     done: list[Term] = []  # values of the finished subterms, leftmost first
-    for u in reversed(order):
-        if isinstance(u, App):
+    values: dict[int, Term] = {}  # id of an App in again -> its value
+    for u in order:
+        if type(u) is App:
             k = len(done) - len(u.args)
             args = tuple(done[k:])
             del done[k:]
@@ -595,9 +622,14 @@ def normalize(
                 and type(entries[u.ctor]) is FreeEntry
                 and all(map(operator.is_, args, u.args))
             ):
-                done.append(u)  # f_C(args) = C(args), and u is C(args) already
+                v = u  # f_C(args) = C(args), and u is C(args) already
             else:
-                done.append(construct(u.ctor, args, fam, table))
+                v = construct(u.ctor, args, fam, table)
+            if again and id(u) in again:
+                values[id(u)] = v
+            done.append(v)
+        elif type(u) is int:  # an App met again: its value
+            done.append(values[u])
         else:
             done.append(table.canonical(u) if table is not None else u)
     return done[0]

@@ -44,7 +44,6 @@ from .terms import (
     compare,
     enumerate_ground,
     format_term,
-    map_vars,
     preorder,
     require_enumerable,
     tuples_of_size,
@@ -158,27 +157,6 @@ def _directed(eqs: Sequence[tuple[Term, Term]]) -> list[tuple[Term, Term]]:
     return out
 
 
-def _match_syntactic(p: Term, t: Term, binding: dict[str, Term]) -> bool:
-    if isinstance(p, Var):
-        bound = binding.get(p.name)
-        if bound is None:
-            binding[p.name] = t
-            return True
-        return bound == t
-    if isinstance(p, Prim):
-        return p == t
-    return (
-        isinstance(t, App)
-        and t.ctor == p.ctor
-        and len(t.args) == len(p.args)
-        and all(_match_syntactic(a, b, binding) for a, b in zip(p.args, t.args))
-    )
-
-
-def _instantiate(p: Term, binding: dict[str, Term]) -> Term:
-    return map_vars(p, lambda v: binding[v.name])
-
-
 class _States(HashConsTable):
     """The hash-consing table of one closure search: one object per term.
 
@@ -224,7 +202,7 @@ class _States(HashConsTable):
 
 
 def _match_state(p: Term, t: Term, binding: dict[str, Term]) -> bool:
-    # _match_syntactic on interned terms: leaves and repeated variables by `is`
+    # a syntactic match on interned terms: leaves and repeated variables by `is`
     stack = [(p, t)]
     while stack:
         p, t = stack.pop()
@@ -521,10 +499,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.has_failures and not self.unknowns
-
-    @property
-    def unknown_only(self) -> bool:
-        return not self.has_failures and bool(self.unknowns)
 
     def machine_lines(self) -> list[str]:
         out = []

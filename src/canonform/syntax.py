@@ -14,19 +14,22 @@ Constructor names start with an uppercase letter, variables (in rules) with a
 lowercase one.  `#` starts a comment that runs to the end of the line.
 Whitespace is otherwise insignificant.
 
-Tokens are plain strings: one `findall` cuts the text into whitespace,
-comments, tokens and single unexpected characters, and drops the first two;
-a token's kind is read from its first character, and an empty string ends
-the list.  Offsets are never stored.  Every diagnostic names the index of
-the token it is about, and one cold function (_fail) rescans the text to
-turn that index into a line and column; an unexpected character anywhere in
-the text is reported first, whatever the parser tripped over.  One term
-parser serves ground terms and both sides of a rule.  It keeps an explicit
-stack, so nesting depth is bounded by memory, not by the recursion limit,
-and it checks constructor names, arities and sorts as it builds each node.
-A sort error does not stop it: the first one in preorder is raised, at the
-term's (or rule's) first token, once the term has parsed, so syntax errors
-win.
+Tokens are plain strings: one `findall` cuts the text into tokens and
+single unexpected characters, with an empty string for each run of
+whitespace or a comment, and the empty strings are dropped; a token's kind
+is read from its first character, and an empty string ends the list.
+Offsets are never stored.  Every diagnostic names the index of the token it
+is about, and one cold function (_fail) rescans the text to turn that index
+into a line and column; an unexpected character anywhere in the text is
+reported first, whatever the parser tripped over.  One term parser serves
+ground terms and both sides of a rule.  It keeps an explicit stack, so
+nesting depth is bounded by memory, not by the recursion limit, and it
+checks constructor names, arities and sorts as it builds each node.  Equal
+subterms of one term are one object: a node is looked up by its
+constructor and the identities of its arguments (HashConsTable's key, with
+no table and no check), so a repeated subterm builds nothing.  A sort error
+does not stop it: the first one in preorder is raised, at the term's (or
+rule's) first token, once the term has parsed, so syntax errors win.
 """
 
 from __future__ import annotations
@@ -48,23 +51,24 @@ from .theory import (
     TheorySpec,
 )
 
-# The lexemes of the language, most frequent first.  Only the arrow and a
+# Whitespace and comments, matched outside the token group: findall returns
+# "" for them.  They are matches of their own, not a prefix of every token:
+# consumed that way, a comment would be backtracked into (there are no
+# atomic groups before Python 3.11).
+_SKIP = r"\s+ | \#[^\n]*"
+# The tokens of the language, most frequent first.  Only the arrow and a
 # negative integer start alike, and they differ at their second character.
 _LEXEME = r"""
     [(),|:=]
   | [A-Za-z_][A-Za-z0-9_]*
-  | \s+
-  | \#[^\n]*
   | ->
   | -?\d+
   | "(?:[^"\\]|\\.)*"
 """
 # Any other character is a token of its own, found by the parser as a token
-# that fits nowhere and reported by _fail.  Whitespace and comments stay
-# tokens of their own too: consumed as a prefix of every token, a comment
-# would be backtracked into (there are no atomic groups before Python 3.11).
-_TOKEN = re.compile(_LEXEME + "| .", re.VERBOSE)
-_IS_LEXEME = re.compile(_LEXEME, re.VERBOSE).fullmatch
+# that fits nowhere and reported by _fail.
+_TOKEN = re.compile(f"{_SKIP} | ({_LEXEME} | .)", re.VERBOSE)
+_IS_LEXEME = re.compile(f"{_SKIP} | {_LEXEME}", re.VERBOSE).fullmatch
 _ESCAPE = re.compile(r"\\(.)")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
@@ -85,7 +89,7 @@ _KEYWORDS = {
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of text, unexpected characters included, then "" for the end."""
-    toks = [t for t in _TOKEN.findall(text) if not (t.isspace() or t[0] == "#")]
+    toks = list(filter(None, _TOKEN.findall(text)))
     toks.append("")
     return toks
 
@@ -100,7 +104,7 @@ def _fail(text: str, index: int, message: str, code: str = "syntax") -> ParseErr
         if _IS_LEXEME(tok) is None:
             off, message, code = m.start(), f"unexpected character {tok!r}", "syntax"
             break
-        if not (tok.isspace() or tok[0] == "#"):
+        if m.group(1):
             if n == index:
                 off = m.start()
             n += 1
@@ -166,12 +170,14 @@ def _term(p: _Parser, sig: Signature, env: Optional[dict[str, str]]):
     parent's arity, known only at its ')', replaces an error found inside it.
     Under an unknown constructor or past the declared arity the expected sort
     is None: whatever is recorded there is replaced or preceded by that
-    ancestor's own error.
+    ancestor's own error.  Equal constants, nullary constructors and nodes
+    over the same argument objects come back as one object.
     """
     toks, i, text = p.toks, p.pos, p.text
     rdt = sig.rdt_sort
     arg_sorts = sig.arg_sorts
     stack = []  # open applications: (ctor, arg sorts or None, args, preorder index)
+    shared = {}  # name, (sort, value) or (ctor, *argument ids) -> the one object built
     err = None  # (preorder index, message, code)
     node = 0
     exp = rdt
@@ -208,9 +214,10 @@ def _term(p: _Parser, sig: Signature, env: Optional[dict[str, str]]):
                     i += 1
                     exp = sorts[0] if sorts else None
                     continue
-                t = App(word)
+                t = shared.get(word) or shared.setdefault(word, App(word))
         elif c == '"' and len(word) > 1:
-            t = Prim("string", _unquote(word, text, i - 1))
+            key = ("string", _unquote(word, text, i - 1))
+            t = shared.get(key) or shared.setdefault(key, Prim(*key))
             if exp != "string" and err is None:
                 err = (node, f"{t} is not of sort {exp!r}", "sort")
         elif c.isdecimal() or (c == "-" and word[1:2].isdecimal()):
@@ -219,7 +226,8 @@ def _term(p: _Parser, sig: Signature, env: Optional[dict[str, str]]):
             except ValueError:  # past the interpreter's int-string limit
                 message = f"integer literal of {len(word) - (c == '-')} digits is too long"
                 raise _fail(text, i - 1, message) from None
-            t = Prim("int", value)
+            key = ("int", value)
+            t = shared.get(key) or shared.setdefault(key, Prim(*key))
             if exp != "int" and err is None:
                 err = (node, f"{t} is not of sort {exp!r}", "sort")
         else:
@@ -239,7 +247,10 @@ def _term(p: _Parser, sig: Signature, env: Optional[dict[str, str]]):
             stack.pop()
             if sorts is not None and len(args) != len(sorts) and (err is None or err[0] > idx):
                 err = (idx, f"{ctor!r} expects {len(sorts)} arguments, got {len(args)}", "arity")
-            t = App(ctor, tuple(args))
+            key = (ctor, *map(id, args))  # args are held by the node filed under key
+            t = shared.get(key)
+            if t is None:
+                t = shared[key] = App(ctor, tuple(args))
         else:
             p.pos = i
             return t, err and err[1:]

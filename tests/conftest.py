@@ -14,11 +14,14 @@ from canonform import (
     CompiledFamily,
     Prim,
     Signature,
+    Term,
     TheorySpec,
+    Var,
     compile_family,
     enumerate_ground,
     parse_definition,
 )
+from canonform.terms import map_vars
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -46,6 +49,29 @@ def bag_universe() -> list:
     prims = [Prim("int", v) for v in (-2, 0, 7)] + [Prim("string", v) for v in ("", "B", "a", "ab")]
     leaves = [App("I" if p.ptype == "int" else "S", (p,)) for p in prims]
     return prims + leaves + [App("U", (a, b)) for a in leaves[:4] for b in leaves[2:]]
+
+
+def match_syntactic(p: Term, t: Term, binding: dict[str, Term]) -> bool:
+    """Whether t is an instance of pattern p, extending binding: the
+    recursive matcher the closure's reference helpers use."""
+    if isinstance(p, Var):
+        bound = binding.get(p.name)
+        if bound is None:
+            binding[p.name] = t
+            return True
+        return bound == t
+    if isinstance(p, Prim):
+        return p == t
+    return (
+        isinstance(t, App)
+        and t.ctor == p.ctor
+        and len(t.args) == len(p.args)
+        and all(match_syntactic(a, b, binding) for a, b in zip(p.args, t.args))
+    )
+
+
+def instantiate(p: Term, binding: dict[str, Term]) -> Term:
+    return map_vars(p, lambda v: binding[v.name])
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import itertools
 import pathlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -46,10 +47,12 @@ from canonform import (
     linearize,
     normalize,
     parse_definition,
+    parse_ground_term,
     sort_of,
 )
 from canonform import builder
 from canonform.emit import emit_code
+from canonform.terms import fold, preorder
 
 from conftest import BAG, bag_universe, load, terms
 
@@ -514,6 +517,78 @@ def test_normalize_keeps_free_nodes_that_are_already_normal(monkeypatch):
     shared = normalize(t, fam, table)
     assert shared == t and shared is table.canonical(_s_power(50))
     assert normalize(_s_power(50), fam, table) is shared
+
+
+@pytest.mark.parametrize("name", ["syn_ac", "syn_group", "syn_left_group", "syn_idem", "syn_nil"])
+def test_normalize_constructs_each_distinct_subterm_once(monkeypatch, name):
+    """With a table, normalize makes the construct calls of a recursive
+    left-to-right fold that builds each distinct object once: on a tree
+    that is every node, on a parsed term (which shares equal subterms) one
+    call per distinct App when the engine calls construct on nothing else."""
+    sig, fam = _syn_family(name)
+    real_construct = builder.construct
+    calls = []
+
+    def recording_construct(ctor, args, *rest):
+        calls.append((ctor, tuple(args)))
+        return real_construct(ctor, args, *rest)
+
+    monkeypatch.setattr(builder, "construct", recording_construct)
+
+    def reference(t, table):
+        values = {}
+
+        def build(u):
+            if id(u) not in values:
+                if type(u) is App:
+                    args = tuple(map(build, u.args))
+                    values[id(u)] = builder.construct(u.ctor, args, fam, table)
+                else:
+                    values[id(u)] = table.canonical(u)
+            return values[id(u)]
+
+        return build(t)
+
+    rng = random.Random(21)
+    pool = [_s_power(k) for k in (0, 2, 5)]
+    pool += [App("N", (t,)) for t in pool] if "group" in name else []
+    for shape in ("balanced", "right", "left", "random"):
+        tree = _sum(shape, [normalize(rng.choice(pool), fam) for _ in range(24)], rng)
+        tree = fold(tree, lambda u: u, lambda u, args: App(u.ctor, args))  # no node shared
+        dag = parse_ground_term(format_term(tree), sig)
+        plain = normalize(tree, fam)
+        for t in (tree, dag):
+            calls.clear()
+            value = normalize(t, fam, HashConsTable(sig))
+            seen = list(calls)
+            calls.clear()
+            assert reference(t, HashConsTable(sig)) == value == plain
+            assert seen == calls, (shape, t is dag)
+        distinct = {id(u) for u in preorder(dag) if type(u) is App}
+        assert len(distinct) < len(list(preorder(tree)))
+        if name == "syn_ac":
+            assert len(seen) == len(distinct)
+
+
+def test_normalize_on_a_shared_chain_peaks_no_higher_than_on_its_tree():
+    """The fold hands values on as it consumes them and files only those of
+    repeated subterms, so a chain whose leaves are shared needs no more
+    memory than the same chain built as a tree."""
+    _, fam = _syn_family("syn_ac")
+    ks = [k * 20 // 2000 for k in range(2000)]
+    pool = [_s_power(k) for k in range(20)]
+    peaks = []
+    for parts in ([pool[k] for k in ks], [_s_power(k) for k in ks]):
+        chain = _sum("right", parts)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nf = normalize(chain, fam)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert leaves("P", nf) == parts
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_normalize_reports_a_variable_before_an_ill_sorted_node():

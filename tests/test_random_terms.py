@@ -5,7 +5,9 @@ well-sorted ground terms of 20-2,000 nodes, with sums bracketed at random,
 and checks that normalize keeps the algebraic key and is idempotent, that
 the generated module's normalize gives the same value on tuples, and that
 each value is AC-normal and leaves no redex of the theory's presentation,
-and that normalizing in a hash-consing table gives the same value, shared.
+that normalizing in a hash-consing table gives the same value, shared, and
+that the term parsed back from its text, which shares equal subterms,
+normalizes to the same value and fills a table alike.
 The example count comes from the hypothesis profile (tests/conftest.py):
 small by default, larger with HYPOTHESIS_PROFILE=ci.
 """
@@ -24,9 +26,11 @@ from canonform import (
     HashConsTable,
     compile_family,
     find_redex,
+    format_term,
     is_ac_normal,
     normalize,
     parse_definition,
+    parse_ground_term,
     semantic_key,
 )
 from canonform import builder, oracle
@@ -142,6 +146,18 @@ def test_normalizing_random_terms_in_a_table_gives_the_plain_value_once(name, n,
     v = normalize(t, fam, table)
     assert v == normalize(t, fam)
     assert normalize(t, fam, table) is v
+
+
+@given(st.sampled_from(FAMILIES), st.integers(20, 2000), st.randoms(use_true_random=False))
+def test_a_parsed_random_term_shares_its_subterms_and_normalizes_to_the_same_value(name, n, rng):
+    sig, fam = family(name)
+    t = random_term(sig, set(fam.classification.free), rng, n)
+    dag = parse_ground_term(format_term(t), sig)
+    v = normalize(t, fam)
+    assert normalize(dag, fam) == v
+    tables = HashConsTable(sig), HashConsTable(sig)
+    assert normalize(dag, fam, tables[0]) == v == normalize(t, fam, tables[1])
+    assert tables[0].sharing_stats() == tables[1].sharing_stats()
 
 
 def test_the_value_checks_catch_the_sabotaged_inserts_of_criterion_7(monkeypatch):

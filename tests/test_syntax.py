@@ -151,6 +151,21 @@ def test_parse_ground_term_with_primitives():
     )
 
 
+def test_a_parsed_term_shares_its_equal_subterms():
+    sig, _ = parse_definition("type t = L | S(t) | P(t, t)")
+    t = parse_ground_term("P(S(L), S(L))", sig)
+    assert t.args[0] is t.args[1]
+    n = 100_000  # the parser keeps no depth on the call stack, so no limit is raised
+    x = "S(" * n + "L" + ")" * n
+    t = parse_ground_term(f"P({x}, {x})", sig)
+    assert t.args[0] is t.args[1]
+    ctors, bottom = spine(t.args[0])
+    assert ctors == ["S"] * n and bottom == App("L")
+    cell, _ = parse_definition("type cell = Nil | Cons(int, cell)")
+    t = parse_ground_term("Cons(7, Cons(7, Nil))", cell)
+    assert t.args[0] is t.args[1].args[0]
+
+
 def test_parse_ground_term_errors():
     sig, _ = parse_file("exp.rdt")
     with pytest.raises(ParseError) as info:

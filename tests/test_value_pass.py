@@ -31,7 +31,7 @@ import canonform.oracle as oracle
 import canonform.terms as terms_mod
 from canonform.terms import _splice, positions, subterm_at
 
-from conftest import FIXTURES, load, terms
+from conftest import FIXTURES, instantiate, load, match_syntactic, terms
 
 DEFS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "defs"
 
@@ -243,8 +243,8 @@ def reference_neighbors(t, directed, cap):
         sub = subterm_at(t, pos)
         for l, r in directed:
             binding = {}
-            if oracle._match_syntactic(l, sub, binding):
-                nt = _splice(t, pos, oracle._instantiate(r, binding))
+            if match_syntactic(l, sub, binding):
+                nt = _splice(t, pos, instantiate(r, binding))
                 if size(nt) <= cap:
                     yield nt
 
