@@ -27,7 +27,10 @@ removes one occurrence of a leaf, exploiting sortedness for early failure;
 insert_inv tries delete first and only then inserts the re-inverted leaf.
 The inverse function f_I pushes inversion to the leaves, reversing the
 comb.  merge, insert, delete and f_I walk a spine in a loop, so they cap no
-comb's length at Python's recursion limit.
+comb's length at Python's recursion limit.  merge, insert, delete and the
+group match keep the leaf (or pair of leaves) they compared last and that
+result: compare is a pure total order, so a run of one shared leaf object
+costs one comparison, not one per leaf.
 
 The scheme above is written for right combs, whose exposed leaf is the first
 argument.  Both orientations run the same code through one view,
@@ -353,6 +356,12 @@ def _merge(ctor, entry, u, v, fam, table):
     of the cancelled pairs re-enters through the construction function.  In
     a group, x cancels I(x) wherever the two sit, so the rest of the other
     comb is read as well and _cancel_inverses drops the pairs.
+
+    compare is a pure total order, so the walk keeps the pair of leaves it
+    compared last and that result: while the next pair is the same two
+    objects, or the same two swapped (the result negated), it makes no
+    compare call.  Equal leaves are one object in shared input, so a run of
+    them against one leaf of the other comb costs one comparison.
     """
     sig = fam.sig
     s = entry.sign
@@ -361,8 +370,15 @@ def _merge(ctor, entry, u, v, fam, table):
     taken = []
     x, u = _split(u, s)  # exposed leaves and the rest, None after the last leaf
     y, v = _split(v, s)
+    lx = ly = None  # the pair compared last, and lc its result
     while True:
-        c = s * compare(sig, x, y)
+        if x is lx and y is ly:
+            c = lc
+        elif x is ly and y is lx:
+            c = -lc
+        else:
+            c = lc = s * compare(sig, x, y)
+            lx, ly = x, y
         if c > 0:
             x, u, y, v = y, v, x, u  # x is the leaf that goes first
         if c == 0 and collapse:
@@ -407,7 +423,10 @@ def _cancel_inverses(fam, entry, leaves):
 
     The I-headed leaves form one run, ordered by their arguments, and the
     other leaves are ordered too, so one linear match of the run against
-    the others finds the pairs.
+    the others finds the pairs.  Like _merge, the match keeps the pair it
+    compared last, an inverse's argument and a leaf, and reuses the result
+    while both are the same objects, so a run of one shared leaf (or of
+    inverses of one shared argument) costs one comparison.
     """
     sig = fam.sig
     s = entry.sign
@@ -420,12 +439,18 @@ def _cancel_inverses(fam, entry, leaves):
         j += 1
     keep = [True] * n
     k = i
+    la = lb = None  # the pair compared last, and lc its result
     for p in range(n):
         if i <= p < j:
             continue
+        b = leaves[p]
         c = -1
         while k < j:
-            c = s * compare(sig, _split(leaves[k], 1)[0], leaves[p])
+            a = _split(leaves[k], 1)[0]
+            if a is not la or b is not lb:
+                lc = s * compare(sig, a, b)
+                la, lb = a, b
+            c = lc
             if c >= 0:
                 break
             k += 1
@@ -445,14 +470,20 @@ def insert(ctor, x, u, fam, table=None):
     dropped, and the absorber re-enters the remaining comb through the
     construction function (it is an ordinary leaf with its own ordered
     position, and may itself cancel against an absorber already present).
+    The walk keeps the leaf it compared last and that result, and while the
+    exposed leaf is that same object (a run of one shared leaf) it reuses
+    the result, so the run costs one comparison.
     """
     entry = fam.entries[ctor]
     sig = fam.sig
     s = entry.sign
     passed = []
+    last = None  # the leaf compared last; c is its result
     while True:
         y, r = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
-        c = s * compare(sig, x, y)
+        if y is not last:
+            c = s * compare(sig, x, y)
+            last = y
         if c == 0 and entry.nil:  # x and y cancel to the absorber
             if r is None:  # y was the innermost leaf
                 if not passed:
@@ -479,18 +510,23 @@ def delete(ctor, x, u, fam):
     """Remove one occurrence of leaf x from value u; None when x does not occur.
 
     Sortedness gives the early exit: once the exposed leaf passes x, x
-    cannot occur further in.  Removing one leaf of a sorted comb keeps the
-    rest sorted, so the result is canonical whenever u was.  Cancelling the
-    last remaining leaf yields the neutral element (the empty sum);
+    cannot occur further in.  As in insert, a run of one shared leaf costs
+    one comparison.  Removing one leaf of a sorted comb keeps the rest
+    sorted, so the result is canonical whenever u was.  Cancelling the last
+    remaining leaf yields the neutral element (the empty sum), and raises
+    TheoryError when C has none, since there is no value to return;
     removing a leaf from deeper inside a comb yields the smaller comb
     itself, never a spine with the unit wrapped in.
     """
     sig = fam.sig
     s = fam.entries[ctor].sign
     passed = []
+    last = None  # the leaf compared last; c is its result
     while True:
         y, r = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
-        c = s * compare(sig, x, y)
+        if y is not last:
+            c = s * compare(sig, x, y)
+            last = y
         if c == 0:
             break
         if c < 0 or r is None:
@@ -499,7 +535,12 @@ def delete(ctor, x, u, fam):
         u = r
     if r is None:  # y was the innermost leaf
         if not passed:
-            return fam.entries[ctor].unit
+            unit = fam.entries[ctor].unit
+            if unit is None:
+                raise TheoryError(
+                    f"{ctor!r} has no neutral element: deleting the only leaf leaves no value"
+                )
+            return unit
         r = passed.pop()
     while passed:
         r = _make(ctor, (passed.pop(), r)[::s])

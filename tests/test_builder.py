@@ -8,6 +8,7 @@ in the examples were worked out from the group axioms by hand and frozen.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import pathlib
@@ -395,13 +396,9 @@ def test_a_comb_meets_a_leaf_by_one_insert(monkeypatch):
     assert leaves("P", nf) == sorted(parts, key=functools.cmp_to_key(lambda a, b: compare(sig, a, b)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 40])
-def test_nilpotent_insert_of_an_absent_leaf_walks_the_comb_once(monkeypatch, n):
-    """Cancellation is found on the way to x's place: inserting a leaf that
-    is absent from an n-leaf nilpotent comb compares it with each leaf at
-    most once, wherever it goes."""
-    sig, fam = _syn_family("syn_nil")
-    comb = build_comb("P", [_s_power(2 * i) for i in range(n)], "right")
+def _count_compare(monkeypatch):
+    """Put a counting wrapper on builder.compare, the name the AC walks call;
+    returns the list of calls, which the caller may clear."""
     real_compare = builder.compare
     calls = []
 
@@ -410,13 +407,142 @@ def test_nilpotent_insert_of_an_absent_leaf_walks_the_comb_once(monkeypatch, n):
         return real_compare(*args)
 
     monkeypatch.setattr(builder, "compare", counting_compare)
-    key = functools.cmp_to_key(lambda a, b: real_compare(sig, a, b))
+    return calls
+
+
+def _sort_key(sig):
+    return functools.cmp_to_key(lambda a, b: compare(sig, a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_nilpotent_insert_of_an_absent_leaf_walks_the_comb_once(monkeypatch, n):
+    """Cancellation is found on the way to x's place: inserting a leaf that
+    is absent from an n-leaf nilpotent comb compares it with each leaf at
+    most once, wherever it goes."""
+    sig, fam = _syn_family("syn_nil")
+    comb = build_comb("P", [_s_power(2 * i) for i in range(n)], "right")
+    calls = _count_compare(monkeypatch)
+    key = _sort_key(sig)
     for k in range(-1, 2 * n + 1, 2):
         x = _s_power(k) if k >= 0 else App("B")
         calls.clear()
         value = insert("P", x, comb, fam)
         assert len(calls) <= n + 1, (k, len(calls))
         assert value == build_comb("P", sorted([*leaves("P", comb), x], key=key), "right")
+
+
+@pytest.mark.parametrize("name", ["syn_ac", "syn_left_group"])
+def test_insert_and_delete_compare_a_run_of_one_shared_leaf_once(monkeypatch, name):
+    """A comb of 200 leaves that are one object: placing a leaf, or looking
+    for one and not finding it, is one compare call wherever the leaf
+    goes, since the walk reuses the result while the exposed leaf is the
+    object it compared last."""
+    sig, fam = _syn_family(name)
+    orientation = fam.orientations()["P"]
+    a = _s_power(1)
+    comb = build_comb("P", [a] * 200, orientation)
+    calls = _count_compare(monkeypatch)
+    for x in (App("L"), _s_power(3)):
+        calls.clear()
+        value = insert("P", x, comb, fam)
+        assert len(calls) == 1, (format_term(x), len(calls))
+        assert value == build_comb("P", sorted([a] * 200 + [x], key=_sort_key(sig)), orientation)
+        calls.clear()
+        assert delete("P", x, comb, fam) is None
+        assert len(calls) == 1, (format_term(x), len(calls))
+    calls.clear()
+    assert delete("P", _s_power(1), comb, fam) == build_comb("P", [a] * 199, orientation)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["syn_group", "syn_left_group"])
+def test_merging_two_one_run_combs_compares_at_most_twice(monkeypatch, name):
+    """_merge of two combs that are each a run of one leaf object keeps the
+    pair it compared last: the same pair, or the same pair swapped, is not
+    compared again.  In a group, the match of a run of x against a run of
+    inverses of x costs one more call, however many cancel; it keys an
+    inverse by its argument, so distinct N nodes over one x count as a run."""
+    sig, fam = _syn_family(name)
+    entry = fam.entries["P"]
+    orientation = entry.theory.orientation
+    a, b = _s_power(1), _s_power(4)
+    inv_a = App("N", (a,))
+    calls = _count_compare(monkeypatch)
+    for xs, ys in (
+        ([a] * 100, [b] * 80),
+        ([b] * 80, [a] * 100),
+        ([a] * 60, [a] * 70),
+        ([a] * 50, [inv_a] * 30),
+        ([inv_a] * 50, [a] * 50),
+    ):
+        u, v = build_comb("P", xs, orientation), build_comb("P", ys, orientation)
+        calls.clear()
+        value = builder._merge("P", entry, u, v, fam, None)
+        assert len(calls) <= 2, len(calls)
+        net = collections.Counter(xs + ys)
+        net[a] -= net.pop(inv_a, 0)
+        kept = sorted(
+            [leaf for leaf, k in net.items() for _ in range(k)] + [inv_a] * -net[a],
+            key=_sort_key(sig),
+        )
+        assert value == (build_comb("P", kept, orientation) if kept else entry.unit)
+    spine = [a] * 50 + [App("N", (a,)) for _ in range(30)]
+    calls.clear()
+    assert builder._cancel_inverses(fam, entry, spine[::entry.sign]) == [a] * 20
+    assert len(calls) == 1
+
+
+def _reference_value(name, parts, sig):
+    """The sorted-list value of a sum under syn_idem or syn_nil: equal leaves
+    collapse to one, or cancel pairwise to the absorber B (which then occurs
+    once, since B + B is B too)."""
+    counts = collections.Counter(parts)
+    if name == "syn_idem":
+        kept = list(counts)
+    else:
+        kept = [x for x, k in counts.items() if k % 2 and x != App("B")]
+        if len(kept) < len(parts):  # some pair cancelled, or B was there
+            kept.append(App("B"))
+    return build_comb("P", sorted(kept, key=_sort_key(sig)), "right")
+
+
+@pytest.mark.parametrize("name", ["syn_idem", "syn_nil"])
+def test_collapse_and_cancel_at_the_boundary_of_a_run_match_a_sorted_list(name):
+    """Sums of runs of a few shared leaf objects, where the walks reuse a
+    comparison across a run and then meet the next run, collapse under
+    idempotence and cancel under nilpotence as a sorted-list count says,
+    in every bracketing, in the library and in the generated module."""
+    sig, fam = _syn_family(name)
+    ns: dict = {}
+    exec(emit_code(fam), ns)
+    rng = random.Random(name)
+    pool = [App("L"), _s_power(1), _s_power(3)] + ([App("B")] if name == "syn_nil" else [])
+    for _ in range(40):
+        parts = []
+        for leaf in rng.choices(pool, k=rng.randint(1, 6)):
+            parts += [leaf] * rng.randint(1, 7)
+        expected = _reference_value(name, parts, sig)
+        for shape in ("left", "right", "balanced", "random"):
+            t = _sum(shape, parts, rng)
+            assert normalize(t, fam) == expected, (shape, [format_term(x) for x in parts])
+            assert normalize(t, fam, HashConsTable(sig)) == expected
+            assert ns["normalize"](_to_tuple(t)) == _to_tuple(expected)
+
+
+@pytest.mark.parametrize("name", ["syn_ac", "syn_idem", "syn_nil"])
+def test_deleting_the_only_leaf_without_a_unit_raises(name):
+    """With no neutral element there is no value for an empty sum, so
+    delete raises TheoryError naming the constructor, where None would read
+    as "not found"; the generated module's delete does the same."""
+    sig, fam = _syn_family(name)
+    L = App("L")
+    with pytest.raises(TheoryError, match="'P' has no neutral element"):
+        delete("P", L, L, fam)
+    assert delete("P", _s_power(1), L, fam) is None
+    ns: dict = {}
+    exec(emit_code(fam), ns)
+    with pytest.raises(ns["TheoryError"], match="'P' has no neutral element"):
+        ns["delete"]("P", ("L",), ("L",), ns["FAMILY"])
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ the generated module's normalize gives the same value on tuples, and that
 each value is AC-normal and leaves no redex of the theory's presentation,
 that normalizing in a hash-consing table gives the same value, shared, and
 that the term parsed back from its text, which shares equal subterms,
-normalizes to the same value and fills a table alike.
+normalizes to the same value and fills a table alike.  Sums drawn from a
+pool of 1-3 shared leaf objects put long runs of one leaf into the combs,
+where the AC walks reuse one comparison across the run.
 The example count comes from the hypothesis profile (tests/conftest.py):
 small by default, larger with HYPOTHESIS_PROFILE=ci.
 """
@@ -158,6 +160,41 @@ def test_a_parsed_random_term_shares_its_subterms_and_normalizes_to_the_same_val
     tables = HashConsTable(sig), HashConsTable(sig)
     assert normalize(dag, fam, tables[0]) == v == normalize(t, fam, tables[1])
     assert tables[0].sharing_stats() == tables[1].sharing_stats()
+
+
+def pooled_sum(sig, fam, rng, n):
+    """A sum of n leaves drawn from a pool of 1-3 leaf objects, each a small
+    random term, bracketed at random.  Equal leaves are one object, so their
+    values are one object too and the combs hold long runs of one leaf."""
+    free = set(fam.classification.free)
+    ctor = next(iter(fam.classification.carrier))
+    pool = [random_term(sig, free, rng, rng.randint(1, 7)) for _ in range(rng.randint(1, 3))]
+
+    def build(k):
+        if k == 1:
+            return rng.choice(pool)
+        a = rng.randint(1, k - 1)
+        return App(ctor, (build(a), build(k - a)))
+
+    return build(n)
+
+
+# find_redex re-reads each suffix of a comb, so its time grows faster than
+# the square of the comb's length (a 200-leaf vec sum of a few runs takes
+# about 0.8 s, a 400-leaf one 4 s): these sums stop at 200 leaves
+@given(st.sampled_from(FAMILIES), st.integers(2, 200), st.randoms(use_true_random=False))
+def test_sums_of_a_few_shared_leaves_agree_everywhere_and_are_canonical(name, n, rng):
+    """Long runs of one shared leaf: the walks reuse a comparison across a
+    run, and the value must still be the generated module's, AC-normal,
+    free of redexes and the same with a table."""
+    sig, fam = family(name)
+    gen_normalize, rules = emitted(name)
+    t = pooled_sum(sig, fam, rng, n)
+    v = normalize(t, fam)
+    assert gen_normalize(to_tuple(t)) == to_tuple(v)
+    assert is_ac_normal(sig, v, fam.orientations())
+    assert find_redex(sig, v, rules, fam.orientations()) is None
+    assert normalize(t, fam, HashConsTable(sig)) == v
 
 
 def test_the_value_checks_catch_the_sabotaged_inserts_of_criterion_7(monkeypatch):
