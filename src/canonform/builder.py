@@ -216,10 +216,6 @@ def compile_family(sig: Signature, spec: TheorySpec) -> CompiledFamily:
     return CompiledFamily(sig, entries, cl)
 
 
-def _is_c(t: Term, ctor: str) -> bool:
-    return isinstance(t, App) and t.ctor == ctor
-
-
 def _ctor(t: Term) -> Optional[str]:
     """t's constructor; None for a constant or a variable."""
     return t.ctor if type(t) is App else None
@@ -260,7 +256,7 @@ def construct(
 # emit_code prints the text between each pair of markers below into generated
 # modules, which bind the names it uses to tuple-world versions.  So the
 # blocks have no annotations and no imports (the word must not appear inside
-# them), touch terms only through _is_c, _ctor, _split, _make, compare and
+# them), touch terms only through _ctor, _split, _make, compare and
 # type(t) is Var, read entries only through their attributes and their
 # kind, type(entry), and mark pending work on a stack with a list, since
 # tuples are terms there.  They hand table on only to construct, the one
@@ -333,8 +329,8 @@ def _construct_ac(ctor, entry, args, fam, table):
             return a
     s = entry.sign
     x, rest = args[::s]
-    if _is_c(x, ctor):
-        if _is_c(rest, ctor):
+    if _ctor(x) == ctor:
+        if _ctor(rest) == ctor:
             return _merge(ctor, entry, x, rest, fam, table)
         # f_C(C(x, y), z) = f_C(z, C(x, y)): a comb meets a leaf by one insertion
         x, rest = rest, x
@@ -389,16 +385,16 @@ def _merge(ctor, entry, u, v, fam, table):
             if u is None or v is None:
                 tail = v if u is None else u
                 break
-            y, v = _split(v, s) if _is_c(v, ctor) else (v, None)
+            y, v = _split(v, s) if _ctor(v) == ctor else (v, None)
         else:
             taken.append(x)
             if u is None:
                 taken.append(y)
                 tail = v
                 break
-        x, u = _split(u, s) if _is_c(u, ctor) else (u, None)
+        x, u = _split(u, s) if _ctor(u) == ctor else (u, None)
     if entry.inverse is not None:
-        while _is_c(tail, ctor):
+        while _ctor(tail) == ctor:
             leaf, tail = _split(tail, s)
             taken.append(leaf)
         if tail is not None:
@@ -432,10 +428,10 @@ def _cancel_inverses(fam, entry, leaves):
     s = entry.sign
     n = len(leaves)
     i = 0
-    while i < n and not _is_c(leaves[i], entry.inverse):
+    while i < n and _ctor(leaves[i]) != entry.inverse:
         i += 1
     j = i
-    while j < n and _is_c(leaves[j], entry.inverse):
+    while j < n and _ctor(leaves[j]) == entry.inverse:
         j += 1
     keep = [True] * n
     k = i
@@ -480,7 +476,7 @@ def insert(ctor, x, u, fam, table=None):
     passed = []
     last = None  # the leaf compared last; c is its result
     while True:
-        y, r = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
+        y, r = _split(u, s) if _ctor(u) == ctor else (u, None)  # exposed leaf, rest
         if y is not last:
             c = s * compare(sig, x, y)
             last = y
@@ -523,7 +519,7 @@ def delete(ctor, x, u, fam):
     passed = []
     last = None  # the leaf compared last; c is its result
     while True:
-        y, r = _split(u, s) if _is_c(u, ctor) else (u, None)  # exposed leaf, rest
+        y, r = _split(u, s) if _ctor(u) == ctor else (u, None)  # exposed leaf, rest
         if y is not last:
             c = s * compare(sig, x, y)
             last = y
@@ -567,9 +563,9 @@ def inverse_cf(inv_ctor, v, fam, table=None):
     carrier = entry.carrier
     if v == fam.entries[carrier].unit:
         return v
-    if _is_c(v, inv_ctor):
+    if _ctor(v) == inv_ctor:
         return _split(v, 1)[0]
-    if not _is_c(v, carrier):
+    if _ctor(v) != carrier:
         return _make(inv_ctor, (v,))
     # f_I(C(x, y)) = f_C(f_I(y), f_I(x)), folded with a stack of pending
     # nodes: y is inverted before x, and each f_C runs once both are done
@@ -580,7 +576,7 @@ def inverse_cf(inv_ctor, v, fam, table=None):
         if u is None:  # both inverted arguments of a C node are on done
             x_inv = done.pop()
             done.append(construct(carrier, (done.pop(), x_inv), fam, table))
-        elif _is_c(u, carrier):
+        elif _ctor(u) == carrier:
             x, y = _split(u, 1)
             todo += (None, x, y)
         else:

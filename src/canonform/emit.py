@@ -165,10 +165,6 @@ class TheoryError(Exception):
     pass
 
 
-def _is_c(t, C):
-    return type(t) is tuple and t[0] == C
-
-
 def _ctor(t):
     return t[0] if type(t) is tuple else None
 

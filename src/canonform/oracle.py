@@ -218,17 +218,10 @@ def _match_state(p: Term, t: Term, binding: dict[str, Term]) -> bool:
     return True
 
 
-def _neighbors(
-    t: Term, directed, cap: int, states: Optional[_States] = None
-) -> Iterator[Term]:
+def _neighbors(t: Term, directed, cap: int, states: _States) -> Iterator[Term]:
     """The terms one directed step from t with at most cap nodes, by
-    position in preorder, then by rule.  With states, t and the neighbours
-    are interned there and directed comes from states.rule; without, the
-    call interns t and directed in a table of its own."""
-    if states is None:
-        states = _States()
-        t = states.canonical(t)
-        directed = [states.rule(l, r) for l, r in directed]
+    position in preorder, then by rule.  t and the neighbours are interned
+    in states, and directed comes from states.rule."""
     size, node = states.size, states.node
     # a subterm with its ancestors: (parent, argument index, parent's chain)
     stack: list = [(t, None)]

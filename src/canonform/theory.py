@@ -4,7 +4,13 @@ A constructor either is free, carries one of six supported attribute
 combinations (the type-2 catalog below), or is defined by user rewrite rules
 that form a complete system on their own (type 1).  Classification checks the
 catalog, resolves the companion symbols (neutral element, inverse, absorber),
-and enforces that distinct theories share no symbol.
+and enforces that distinct theories share no symbol.  A rejection names the
+first offence in a fixed order (attributes in source order, symbols as
+Type2Theory.symbols lists them), so a definition always gets one diagnostic.
+
+Each catalog law is written once: builtin_presentation builds a variant's
+complete rule set from its laws (a pair law for idempotence and nilpotence,
+the unit law for a neutral element) rather than spelling out each variant.
 
 Catalog:
     assoc+com                     flat sorted combs
@@ -114,9 +120,10 @@ class Type2Theory:
     inverse: Optional[str] = None
     absorber: Optional[str] = None
 
-    def symbols(self) -> frozenset[str]:
-        extra = {s for s in (self.unit, self.inverse, self.absorber) if s is not None}
-        return frozenset({self.ctor} | extra)
+    def symbols(self) -> tuple[str, ...]:
+        """ctor, unit, inverse and absorber in that order: the declared ones, once each."""
+        named = (self.ctor, self.unit, self.inverse, self.absorber)
+        return tuple(dict.fromkeys(s for s in named if s is not None))
 
 
 @dataclass
@@ -132,31 +139,18 @@ class Classification:
         return {c: th.orientation for c, th in self.carrier.items()}
 
 
-def _require_binary(sig: Signature, ctor: str) -> None:
+def _require_args(sig: Signature, ctor: str, arity: int, role: str = "", of: str = "") -> None:
+    """Reject ctor unless it takes arity arguments of the data sort: a
+    binary theory constructor, or a companion (role) of the theory of of."""
     decl = sig.declaration(ctor)
     pi = sig.rdt_sort
-    if decl.arg_sorts != (pi, pi):
-        raise TheoryError(
-            f"equational attributes apply only to binary constructors over "
-            f"{pi!r}; {ctor!r} has arguments {list(decl.arg_sorts)}"
-        )
-
-
-def _require_nullary(sig: Signature, ctor: str, role: str, of: str) -> None:
-    decl = sig.declaration(ctor)
-    if decl.arity != 0:
-        raise TheoryError(f"{role} {ctor!r} of {of!r} must be a nullary constructor")
-
-
-def _require_unary(sig: Signature, ctor: str, role: str, of: str) -> None:
-    decl = sig.declaration(ctor)
-    pi = sig.rdt_sort
-    if decl.arg_sorts != (pi,):
-        raise TheoryError(f"{role} {ctor!r} of {of!r} must be unary over {pi!r}")
-
-
-def _head_ctor(t: Term) -> Optional[str]:
-    return t.ctor if isinstance(t, App) else None
+    if decl.arg_sorts != (pi,) * arity:
+        raise TheoryError({
+            2: f"equational attributes apply only to binary constructors over "
+            f"{pi!r}; {ctor!r} has arguments {list(decl.arg_sorts)}",
+            1: f"{role} {ctor!r} of {of!r} must be unary over {pi!r}",
+            0: f"{role} {ctor!r} of {of!r} must be a nullary constructor",
+        }[arity])
 
 
 def _pattern_vars(t: Term) -> set[str]:
@@ -191,10 +185,10 @@ def classify(spec: TheorySpec, sig: Signature) -> Classification:
         attrs = tuple(spec.attrs.get(ctor, ()))
         if not attrs:
             continue
-        _require_binary(sig, ctor)
+        _require_args(sig, ctor, 2)
         kinds = [type(a) for a in attrs]
-        for k in set(kinds):
-            if kinds.count(k) > 1:
+        for i, k in enumerate(kinds):  # the first repeat in source order
+            if k in kinds[:i]:
                 raise TheoryError(f"duplicate {k.__name__.lower()} attribute on {ctor!r}")
         kindset = frozenset(kinds)
         if Com in kindset and Assoc not in kindset:
@@ -217,13 +211,13 @@ def classify(spec: TheorySpec, sig: Signature) -> Classification:
             if isinstance(a, Assoc):
                 orientation = a.orientation
             elif isinstance(a, Neu):
-                _require_nullary(sig, a.unit, "neutral element", ctor)
+                _require_args(sig, a.unit, 0, "neutral element", ctor)
                 unit = a.unit
             elif isinstance(a, Inv):
-                _require_unary(sig, a.inverse, "inverse", ctor)
+                _require_args(sig, a.inverse, 1, "inverse", ctor)
                 inverse = a.inverse
             elif isinstance(a, Nil):
-                _require_nullary(sig, a.absorber, "absorber", ctor)
+                _require_args(sig, a.absorber, 0, "absorber", ctor)
                 absorber = a.absorber
         theories.append(
             Type2Theory(variant, ctor, orientation, unit, inverse, absorber)
@@ -245,7 +239,7 @@ def classify(spec: TheorySpec, sig: Signature) -> Classification:
     type1: list[str] = []
     for rule in spec.rules:
         validate_rule(sig, rule)
-        head = _head_ctor(rule.lhs)
+        head = rule.lhs.ctor  # validate_rule proved lhs an App
         if head in owner:
             raise TheoryError(
                 f"rule left-hand side head {head!r} belongs to the equational "
@@ -308,49 +302,40 @@ def equations_of(spec: TheorySpec, sig: Signature) -> list[tuple[Term, Term]]:
 def builtin_presentation(theory: Type2Theory, sig: Signature) -> tuple[RewriteRule, ...]:
     """Complete presentation of one catalog theory, used for redex checks.
 
-    The abelian-group variant is the classic six-rule system; the idempotent
-    and nilpotent variants carry their extension rule so that redex existence
-    is stable across AC-equal terms.
+    Each law is written once.  The abelian group is the classic six-rule
+    system, and plain AC has no rules.  Idempotence and nilpotence share
+    one pair law: C(x, x) collapses to x or to the absorber.  Its extension
+    rule C(x, C(x, y)) (Peterson & Stickel 1981) makes redex existence
+    stable across AC-equal terms.  A neutral element adds the two unit
+    rules.  A variant outside these cases raises TheoryError.
     """
     x, y = _vars(sig, "x", "y")
-    C = theory.ctor
-    rules: list[RewriteRule] = []
 
-    def neu_rules(unit: str) -> list[RewriteRule]:
-        e = App(unit)
-        return [
-            RewriteRule(App(C, (x, e)), x),
-            RewriteRule(App(C, (e, x)), x),
-        ]
+    def C(a: Term, b: Term) -> Term:
+        return App(theory.ctor, (a, b))
 
-    if theory.variant is Variant.AC:
-        return ()
     if theory.variant is Variant.GROUP:
         e = App(theory.unit)
-        i = theory.inverse
+
+        def I(a: Term) -> Term:
+            return App(theory.inverse, (a,))
+
         return (
-            RewriteRule(App(C, (e, x)), x),
-            RewriteRule(App(C, (App(i, (x,)), x)), e),
-            RewriteRule(App(C, (App(C, (App(i, (x,)), x)), y)), y),
-            RewriteRule(App(i, (e,)), e),
-            RewriteRule(App(i, (App(i, (x,)),)), x),
-            RewriteRule(App(i, (App(C, (x, y)),)), App(C, (App(i, (y,)), App(i, (x,))))),
+            RewriteRule(C(e, x), x),
+            RewriteRule(C(I(x), x), e),
+            RewriteRule(C(C(I(x), x), y), y),
+            RewriteRule(I(e), e),
+            RewriteRule(I(I(x)), x),
+            RewriteRule(I(C(x, y)), C(I(y), I(x))),
         )
-    if theory.variant in IDEM_VARIANTS:
-        rules = [
-            RewriteRule(App(C, (x, x)), x),
-            RewriteRule(App(C, (x, App(C, (x, y)))), App(C, (x, y))),
-        ]
-        if theory.variant is Variant.ACI_NEU:
-            rules += neu_rules(theory.unit)
-        return tuple(rules)
-    if theory.variant in NIL_VARIANTS:
-        a = App(theory.absorber)
-        rules = [
-            RewriteRule(App(C, (x, x)), a),
-            RewriteRule(App(C, (x, App(C, (x, y)))), App(C, (a, y))),
-        ]
-        if theory.variant is Variant.ACNIL_NEU:
-            rules += neu_rules(theory.unit)
-        return tuple(rules)
-    raise TheoryError(f"no builtin presentation for {theory.variant}")
+    if theory.variant in IDEM_VARIANTS or theory.variant in NIL_VARIANTS:
+        pair = x if theory.variant in IDEM_VARIANTS else App(theory.absorber)
+        rules = (RewriteRule(C(x, x), pair), RewriteRule(C(x, C(x, y)), C(pair, y)))
+    elif theory.variant is Variant.AC:
+        rules = ()
+    else:
+        raise TheoryError(f"no builtin presentation for {theory.variant}")
+    if theory.unit is not None:
+        e = App(theory.unit)
+        rules += (RewriteRule(C(x, e), x), RewriteRule(C(e, x), x))
+    return rules

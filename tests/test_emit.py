@@ -217,7 +217,7 @@ def test_every_global_the_shared_functions_use_is_bound_in_the_generated_module(
     _, _, fam = load("exp")
     ns = exec_module(fam)
     used = set().union(*(global_names(fn.__code__) for fn in SHARED))
-    assert {"_is_c", "_split", "_make", "compare", "construct"} <= used
+    assert {"_ctor", "_split", "_make", "compare", "construct"} <= used
     unbound = sorted(n for n in used if n not in ns and not hasattr(builtins, n))
     assert unbound == []
     # each shared function is the builder's own code, compiled again

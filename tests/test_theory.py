@@ -8,8 +8,14 @@ rule's two sides must be provably equal from the axioms alone.
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import canonform
 
 from canonform import (
     App,
@@ -24,6 +30,7 @@ from canonform import (
     Signature,
     TheoryError,
     TheorySpec,
+    Type2Theory,
     Var,
     Variant,
     algebraic_equal,
@@ -124,6 +131,81 @@ def test_classify_rejects_bad_companions():
     reject({"Times": (Assoc(), Com())}, "undeclared constructor")
 
 
+def test_companion_shape_messages_are_exact():
+    cases = [
+        (
+            {"Opp": (Assoc(), Com())},
+            "equational attributes apply only to binary constructors over 'g'; "
+            "'Opp' has arguments ['g']",
+        ),
+        (
+            {"Plus": (Assoc(), Com(), Neu("Opp"), Inv("Opp"))},
+            "neutral element 'Opp' of 'Plus' must be a nullary constructor",
+        ),
+        (
+            {"Plus": (Assoc(), Com(), Neu("Zero"), Inv("One"))},
+            "inverse 'One' of 'Plus' must be unary over 'g'",
+        ),
+        (
+            {"Plus": (Assoc(), Com(), Nil("Opp"))},
+            "absorber 'Opp' of 'Plus' must be a nullary constructor",
+        ),
+    ]
+    for attrs, message in cases:
+        with pytest.raises(TheoryError) as err:
+            classify(TheorySpec(attrs=attrs, rules=()), GROUP_SIG)
+        assert str(err.value) == message
+
+
+def test_classify_reports_the_first_repeated_attribute_in_source_order():
+    cases = [
+        ((Assoc(), Com(), Com(), Idem(), Idem()), "com"),
+        ((Assoc(), Idem(), Com(), Idem(), Com()), "idem"),
+        ((Idem(), Assoc(), Com(), Com(), Idem()), "com"),
+        ((Assoc(), Com(), Neu("Zero"), Inv("Opp"), Neu("Zero"), Assoc()), "neu"),
+    ]
+    for attrs, kind in cases:
+        with pytest.raises(TheoryError) as err:
+            classify(TheorySpec(attrs={"Plus": attrs}, rules=()), GROUP_SIG)
+        assert str(err.value) == f"duplicate {kind} attribute on 'Plus'"
+
+
+def test_theory_symbols_are_ordered_and_deduplicated():
+    th = Type2Theory(Variant.ACNIL_NEU, "C", unit="E", absorber="E")
+    assert th.symbols() == ("C", "E")  # a unit that is the absorber is one symbol
+    th = Type2Theory(Variant.GROUP, "Plus", unit="Zero", inverse="Opp")
+    assert th.symbols() == ("Plus", "Zero", "Opp")
+
+
+def test_shared_symbol_diagnostic_is_the_same_under_every_hash_seed(tmp_path):
+    """Two theories share E and I; the first shared symbol in the order
+    constructor, unit, inverse, absorber is E, whatever the string hashes."""
+    path = tmp_path / "shared.rdt"
+    path.write_text(
+        "type t = E | A | I(t) | P(t, t) | Q(t, t)\n"
+        "with P: associative, commutative, neutral(E), inverse(I)\n"
+        "with Q: associative, commutative, neutral(E), inverse(I)\n"
+    )
+    src = str(pathlib.Path(canonform.__file__).resolve().parents[1])
+    runs = {
+        (proc.returncode, proc.stdout, proc.stderr)
+        for proc in (
+            subprocess.run(
+                [sys.executable, "-m", "canonform", "check", str(path)],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=60,
+            )
+            for seed in map(str, range(1, 9))
+        )
+    }
+    assert runs == {(
+        1,
+        "",
+        "error[theory]: symbol 'E' is shared by the theories of 'P' and 'Q'; "
+        "theories must be disjoint\n",
+    )}
+
+
 def test_classify_rejects_shared_symbols():
     sig = Signature(
         "s", [("E", []), ("C", ["s", "s"]), ("D", ["s", "s"])]
@@ -197,6 +279,52 @@ def test_other_presentations():
     sig = Signature("s", [("X", []), ("Mul", ["s", "s"])])
     spec = TheorySpec(attrs={"Mul": (Assoc(), Com())}, rules=())
     assert builtin_presentation(classify(spec, sig).carrier["Mul"], sig) == ()
+
+
+CATALOG_SIG = Signature("s", [("E", []), ("A", []), ("I", ["s"]), ("C", ["s", "s"])])
+PAIR_RULES = ["C(x, x) -> x", "C(x, C(x, y)) -> C(x, y)"]
+ABSORBER_RULES = ["C(x, x) -> A", "C(x, C(x, y)) -> C(A, y)"]
+UNIT_RULES = ["C(x, E) -> x", "C(E, x) -> x"]
+
+
+@pytest.mark.parametrize("orientation", ["right", "left"])
+@pytest.mark.parametrize(
+    "attrs, expected",
+    [
+        ((Com(),), []),
+        (
+            (Com(), Neu("E"), Inv("I")),
+            [
+                "C(E, x) -> x",
+                "C(I(x), x) -> E",
+                "C(C(I(x), x), y) -> y",
+                "I(E) -> E",
+                "I(I(x)) -> x",
+                "I(C(x, y)) -> C(I(y), I(x))",
+            ],
+        ),
+        ((Com(), Idem()), PAIR_RULES),
+        ((Com(), Neu("E"), Idem()), PAIR_RULES + UNIT_RULES),
+        ((Com(), Nil("A")), ABSORBER_RULES),
+        ((Com(), Neu("E"), Nil("A")), ABSORBER_RULES + UNIT_RULES),
+        (
+            (Com(), Neu("E"), Nil("E")),
+            ["C(x, x) -> E", "C(x, C(x, y)) -> C(E, y)"] + UNIT_RULES,
+        ),
+    ],
+    ids=["ac", "group", "aci", "aci-neutral", "acnil", "acnil-neutral", "acnil-unit-absorber"],
+)
+def test_every_catalog_presentation(attrs, expected, orientation):
+    spec = TheorySpec(attrs={"C": (Assoc(orientation), *attrs)}, rules=())
+    th = classify(spec, CATALOG_SIG).carrier["C"]
+    assert th.orientation == orientation
+    assert [str(r) for r in builtin_presentation(th, CATALOG_SIG)] == expected
+
+
+def test_a_variant_outside_the_catalog_has_no_presentation():
+    th = Type2Theory("ac-neutral", "C", unit="E")  # not a Variant
+    with pytest.raises(TheoryError, match="no builtin presentation"):
+        builtin_presentation(th, CATALOG_SIG)
 
 
 def ground_instances(rule, sig, leaves):

@@ -253,6 +253,8 @@ def test_closure_neighbours_keep_their_states_and_order():
     sig, spec, _ = load("neu_rules")
     directed = oracle._directed(equations_of(spec, sig))
     for t in terms("neu_rules", 6):
+        states = oracle._States()
+        interned = [states.rule(l, r) for l, r in directed]
         for cap in (size(t), size(t) + 2, size(t) + 4):
-            got = list(oracle._neighbors(t, directed, cap))
+            got = list(oracle._neighbors(states.canonical(t), interned, cap, states))
             assert got == list(reference_neighbors(t, directed, cap))
