@@ -55,10 +55,10 @@ place, drops it, rebuilds the leaves it passed over the rest, and lets the
 absorber re-enter through the construction function, which places it.
 
 construct and normalize reject ill-sorted input by Signature.check, the
-one well-sortedness rule of the package.  With a hash-consing table only
-construct interns (normalize adds its input's constants): the shared blocks
-hand the table on to nothing else, so no node built only to compare against
-reaches it.
+one well-sortedness rule of the package.  A hash-consing table is met only
+at the boundary: construct makes its result canonical, and normalize its
+input and its result.  The engine takes no table, so no intermediate comb
+and no node built only to compare against reaches one.
 
 Normalizing a whole term is the bottom-up fold of the construction
 functions.  It runs over explicit stacks and calls them in the order a
@@ -66,7 +66,7 @@ recursive fold would, so no nesting depth of the input reaches Python's
 recursion limit.  It folds each distinct subterm object once: a subterm the
 input shares (a parsed term shares its equal subterms) is built once, where
 it first occurs.  A free node whose arguments are already normal is its own
-value, so without a hash-consing table the fold keeps it as it is.
+value, so the fold keeps it as it is.
 """
 
 from __future__ import annotations
@@ -236,21 +236,12 @@ def construct(
     table: Optional[HashConsTable] = None,
 ) -> Term:
     """Construction function f_ctor: canonical arguments in, canonical value out.
-    With a table, the value is the table's object, and a call over arguments it
-    holds is memoized per family under the table's node key (HashConsTable.memo)."""
+    With a table, the value is the table's object: the engine builds it plain,
+    and only then does the table intern it."""
     args = tuple(args)
-    if table is None:
-        fam.sig.check(ctor, args)
-        return _construct_entry(ctor, fam.entries[ctor], args, fam, None)
-    memo = table.memo(fam)
-    key = (ctor, *map(id, args))
-    result = memo.get(key)
-    if result is None:
-        fam.sig.check(ctor, args)
-        result = table.canonical(_construct_entry(ctor, fam.entries[ctor], args, fam, table))
-        if all(map(table.holds, args)):
-            memo[key] = result
-    return result
+    fam.sig.check(ctor, args)
+    value = _construct_entry(ctor, fam.entries[ctor], args, fam)
+    return value if table is None else table.canonical(value)
 
 
 # emit_code prints the text between each pair of markers below into generated
@@ -259,17 +250,17 @@ def construct(
 # them), touch terms only through _ctor, _split, _make, compare and
 # type(t) is Var, read entries only through their attributes and their
 # kind, type(entry), and mark pending work on a stack with a list, since
-# tuples are terms there.  They hand table on only to construct, the one
-# function that interns: they call no method of it, and what they build is
-# plain until construct makes its result canonical.
+# tuples are terms there.  They take no hash-consing table: what they build
+# is plain, and only a public entry point given one (construct, normalize)
+# makes its own result canonical.
 # --- begin shared engine block ---
-def _construct_entry(ctor, entry, args, fam, table):
+def _construct_entry(ctor, entry, args, fam):
     """f_ctor on arguments of the right number and sorts, by entry kind."""
     kind = type(entry)
     if kind is Type2Entry:
-        return _construct_ac(ctor, entry, args, fam, table)
+        return _construct_ac(ctor, entry, args, fam)
     if kind is InverseEntry:
-        return inverse_cf(ctor, args[0], fam, table)
+        return inverse_cf(ctor, args[0], fam)
     if kind is Type1Entry:
         sig = fam.sig
         for clause in entry.clauses:
@@ -277,7 +268,7 @@ def _construct_entry(ctor, entry, args, fam, table):
             if all(_match(p, v, binding) for p, v in zip(clause.patterns, args)) and all(
                 compare(sig, binding[a], binding[b]) == 0 for a, b in clause.guard
             ):
-                return _eval_rhs(clause.rhs, binding, fam, table)
+                return _eval_rhs(clause.rhs, binding, fam)
     return _make(ctor, args)  # a free constructor, or the implicit default clause
 
 
@@ -294,7 +285,7 @@ def _match(pattern, value, binding):
     return True
 
 
-def _eval_rhs(rhs, binding, fam, table):
+def _eval_rhs(rhs, binding, fam):
     """A clause's right-hand side: each constructor in it is a construction
     call, made in the order of a recursive left-to-right fold."""
     done = []  # values of the finished subterms, leftmost first
@@ -305,7 +296,7 @@ def _eval_rhs(rhs, binding, fam, table):
             c, n = u
             args = tuple(done[len(done) - n:])
             del done[len(done) - n:]
-            done.append(construct(c, args, fam, table))
+            done.append(construct(c, args, fam))
         elif type(u) is Var:
             done.append(binding[u.name])
         elif _ctor(u) is None:
@@ -319,7 +310,7 @@ def _eval_rhs(rhs, binding, fam, table):
 
 
 # --- begin shared AC block ---
-def _construct_ac(ctor, entry, args, fam, table):
+def _construct_ac(ctor, entry, args, fam):
     a, b = args
     unit = entry.unit
     if unit is not None:
@@ -331,17 +322,15 @@ def _construct_ac(ctor, entry, args, fam, table):
     x, rest = args[::s]
     if _ctor(x) == ctor:
         if _ctor(rest) == ctor:
-            return _merge(ctor, entry, x, rest, fam, table)
+            return _merge(ctor, entry, x, rest, fam)
         # f_C(C(x, y), z) = f_C(z, C(x, y)): a comb meets a leaf by one insertion
         x, rest = rest, x
     if entry.inverse is not None:
-        return insert_inv(
-            ctor, inverse_cf(entry.inverse, x, fam, table), rest, fam, table
-        )
-    return insert(ctor, x, rest, fam, table)
+        return insert_inv(ctor, inverse_cf(entry.inverse, x, fam), rest, fam)
+    return insert(ctor, x, rest, fam)
 
 
-def _merge(ctor, entry, u, v, fam, table):
+def _merge(ctor, entry, u, v, fam):
     """f_C of two combs u and v: one pass down both sorted spines.
 
     The leaves taken before either spine runs out are rebuilt in order;
@@ -410,7 +399,7 @@ def _merge(ctor, entry, u, v, fam, table):
     while taken:
         tail = _make(ctor, (taken.pop(), tail)[::s])
     if cancelled:
-        return construct(ctor, (entry.absorber, tail)[::s], fam, table)
+        return construct(ctor, (entry.absorber, tail)[::s], fam)
     return tail
 
 
@@ -596,12 +585,11 @@ def normalize(
     Each distinct App object of t is checked and folded once, so a subterm
     that t shares (as parsed terms share equal subterms) costs one
     construction, however often it occurs; on a tree the construct calls
-    are those of a recursive left-to-right fold.  Without a table, a node
-    whose constructor is free and whose arguments all come back as the very
-    objects they were is already its own value (f_C(args) = C(args)), so
-    the fold keeps that node and makes no construct call for it: a
-    free-only term is returned as it is.  With a table every node goes
-    through construct, which interns it.
+    are those of a recursive left-to-right fold.  A node whose constructor
+    is free and whose arguments all come back as the very objects they were
+    is already its own value (f_C(args) = C(args)), so the fold keeps that
+    node and makes no construct call for it: a free-only term is returned
+    as it is.  A table interns t and then the value after the fold.
     """
     sig = fam.sig
     check = sig.check
@@ -654,19 +642,15 @@ def normalize(
             k = len(done) - len(u.args)
             args = tuple(done[k:])
             del done[k:]
-            if (
-                table is None
-                and type(entries[u.ctor]) is FreeEntry
-                and all(map(operator.is_, args, u.args))
-            ):
+            if type(entries[u.ctor]) is FreeEntry and all(map(operator.is_, args, u.args)):
                 v = u  # f_C(args) = C(args), and u is C(args) already
             else:
-                v = construct(u.ctor, args, fam, table)
+                v = construct(u.ctor, args, fam)
             if again and id(u) in again:
                 values[id(u)] = v
             done.append(v)
-        elif type(u) is int:  # an App met again: its value
-            done.append(values[u])
-        else:
-            done.append(table.canonical(u) if table is not None else u)
-    return done[0]
+        else:  # a leaf, or the id of an App met again: its value
+            done.append(values[u] if type(u) is int else u)
+    if table is not None:
+        table.canonical(t)  # the input first, so its objects are kept where new
+    return done[0] if table is None else table.canonical(done[0])

@@ -208,7 +208,7 @@ def compare(sig, t, u):
 def construct(ctor, args, fam, table=None):
     if len(args) != CTOR_ARITY[ctor]:
         raise ValueError(f"{ctor} expects {CTOR_ARITY[ctor]} arguments")
-    return _construct_entry(ctor, fam.entries[ctor], args, fam, table)
+    return _construct_entry(ctor, fam.entries[ctor], args, fam)
 
 
 def normalize(t):
@@ -221,7 +221,7 @@ def normalize(t):
     entry = ENTRIES[ctor]
     if type(entry) is FreeEntry:
         return (ctor,) + args  # f_C = C
-    return _construct_entry(ctor, entry, args, FAMILY, None)
+    return _construct_entry(ctor, entry, args, FAMILY)
 '''
 
 
@@ -281,7 +281,7 @@ def emit_code(fam: CompiledFamily) -> str:
         params = [f"x{i}" for i in range(1, d.arity + 1)]
         args = _tuple_code(params)
         lines.append(f"def f_{d.name}({', '.join(params)}):")
-        lines.append(f'    return _construct_entry("{d.name}", ENTRIES["{d.name}"], {args}, FAMILY, None)')
+        lines.append(f'    return _construct_entry("{d.name}", ENTRIES["{d.name}"], {args}, FAMILY)')
         lines += ["", ""]
     lines.append(_shared_block("engine"))
     if fam.classification.theories:

@@ -9,10 +9,9 @@ alive, so no identity in a key is ever reused, and a lookup never hashes a
 term or compares two: interning a node whose arguments are canonical costs
 O(arity) however large the term.  An object becomes canonical only if it is
 well sorted: a node by Signature.check, the rule construct and normalize
-apply too, a leaf by its type, judged before its fields are keyed.  The same
-keys memoize construction: a call over canonical arguments is one lookup.
-Only construct interns values (normalize adds its input's constants), so a
-table holds the canonical subterms of inputs and construction results.
+apply too, a leaf by its type, judged before its fields are keyed.  The
+builder interns only what construct returns and the input and value of
+normalize, so a table holds no comb built on the way.
 
 The table speaks only Terms: canonical(t) is the shared object equal to t,
 and within one table two canonical objects are structurally equal exactly
@@ -36,7 +35,6 @@ class HashConsTable:
         self.sig = sig
         self._nodes: dict[tuple, Term] = {}  # key -> canonical object
         self._held: set[int] = set()  # ids of the canonical objects
-        self._memos: dict[int, tuple] = {}  # id of an owner -> (owner, its memo)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -92,12 +90,11 @@ class HashConsTable:
 
     def from_term(self, t: Term) -> Term:
         """The canonical object equal to t, by one post-order walk over the
-        nodes of t that are not canonical yet."""
+        nodes of t that are not canonical yet, each distinct object once."""
         held = self._held
-        if id(t) in held:
-            return t
         done: list[Term] = []  # canonical subterms, left to right
         stack: list = [t]  # terms still to walk; a node to rebuild sits under the marker
+        walked: dict[int, Term] = {}  # id of a node of t rebuilt here -> its canonical object
         rebuild = _REBUILD
         while stack:
             u = stack.pop()
@@ -106,9 +103,12 @@ class HashConsTable:
                 k = len(done) - len(u.args)
                 args = tuple(done[k:])
                 del done[k:]
-                done.append(self.node(u.ctor, args, u))
+                walked[id(u)] = v = self.node(u.ctor, args, u)
+                done.append(v)
             elif id(u) in held:  # canonical already; the table keeps it alive
                 done.append(u)
+            elif id(u) in walked:  # an equal object was canonical first; t keeps u alive
+                done.append(walked[id(u)])
             elif type(u) is App:
                 stack += (u, rebuild)
                 stack += reversed(u.args)
@@ -120,13 +120,6 @@ class HashConsTable:
         """The one shared Term object structurally equal to t: from_term under
         the name the builder uses; both names are public."""
         return self.from_term(t)
-
-    def memo(self, owner: object) -> dict:
-        """owner's memo, kept as long as the table: builder.construct files a
-        family's results here under node keys over canonical arguments only,
-        and the slot holds owner, so no id in a key or slot is ever reused."""
-        slot = self._memos.get(id(owner)) or self._memos.setdefault(id(owner), (owner, {}))
-        return slot[1]
 
     def sharing_stats(self) -> tuple[int, int]:
         """(node count, edge count) for everything interned so far."""

@@ -5,9 +5,9 @@ Two oracles:
 * exact algebraic interpretations for the catalog theories: one loop reads
   each AC spine into a signed multiset of leaf keys, and the variant's law
   reduces it (nonzero counts for groups, counts for plain AC, the distinct
-  leaves for idempotence, parity plus one absorber for nilpotence).  Only
-  constructors outside an AC theory recurse, so a sum of any length costs
-  no recursion;
+  leaves for idempotence, parity plus one absorber for nilpotence).  One
+  explicit stack holds the spines and the constructors outside them, so
+  neither a sum's length nor a term's depth costs recursion;
 * a bounded closure of the equations, a sound semi-decision procedure that
   answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
   a HashConsTable local to the call, so equal terms are one object: states
@@ -72,37 +72,57 @@ def semantic_key(cl: Classification, sig: Signature, t: Term):
     Only available when every non-free constructor belongs to the type-2
     catalog; rule-defined constructors have no algebraic interpretation here.
     """
-    if isinstance(t, Var):
-        raise OracleError("interpretation of non-ground term")
-    if isinstance(t, Prim):
-        return ("p", t.ptype, t.value)
-    if t.ctor in cl.type1:
-        raise OracleError(
-            f"no algebraic interpretation for rule-defined constructor {t.ctor!r}"
-        )
-    th = cl.owner.get(t.ctor)
-    if th is None:
-        return ("f", t.ctor, tuple(semantic_key(cl, sig, a) for a in t.args))
-    return _theory_key(cl, sig, th, t)
+    return _keys(cl, t)[0]
 
 
-def _theory_key(cl: Classification, sig: Signature, th: Type2Theory, t: Term):
-    # One loop reads th's spine into a signed multiset of leaf keys: the
-    # unit drops out, an inverse flips the sign of its argument, and the
-    # absorber stays opaque.  The variant's law then reduces the multiset.
-    own = th.symbols()
+def _keys(cl: Classification, *terms: Term) -> list:
+    """The keys of terms, by one loop over an explicit stack on which a spine's
+    children are its leaves.  An App met again reuses its first key object,
+    so keys of a shared subterm compare by identity, not by a deep walk."""
+    keys: list = []  # keys of the finished subterms, leftmost first
+    known: dict[int, tuple] = {}  # id of a keyed App -> its key
+    todo: list = list(terms[::-1])  # terms still to key, and (App, theory, n, signs) steps
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:  # the keys of the step's n children end keys
+            u, th, n, signs = u
+            kids = keys[len(keys) - n:]
+            del keys[len(keys) - n:]
+            known[id(u)] = key = ("f", u.ctor, tuple(kids)) if th is None else _theory_key(th, kids, signs)
+            keys.append(key)
+        elif isinstance(u, Var):
+            raise OracleError("interpretation of non-ground term")
+        elif isinstance(u, Prim):
+            keys.append(("p", u.ptype, u.value))
+        elif u.ctor in cl.type1:
+            raise OracleError(f"no algebraic interpretation for rule-defined constructor {u.ctor!r}")
+        elif not u.args:  # a constant, the unit and the absorber among them
+            keys.append(("f", u.ctor, ()))
+        elif id(u) in known:
+            keys.append(known[id(u)])
+        else:  # a free node, or th's spine: its leaves, each with a sign
+            th = cl.owner.get(u.ctor)
+            leaves, signs, walk = (u.args, None, []) if th is None else ([], [], [(u, 1)])
+            while walk:  # the unit drops out, and an inverse flips its argument's sign
+                s, sign = walk.pop()
+                c = s.ctor if type(s) is App else None
+                if c == th.ctor:
+                    walk += ((s.args[1], sign), (s.args[0], sign))
+                elif c is not None and c == th.inverse:
+                    walk.append((s.args[0], -sign))
+                elif c is None or c != th.unit:  # a leaf; the absorber is one too
+                    leaves.append(s)
+                    signs.append(sign)
+            todo.append((u, th, len(leaves), signs))
+            todo += reversed(leaves)
+    return keys
+
+
+def _theory_key(th: Type2Theory, keys: list, signs: list[int]):
+    # The spine's signed multiset of leaf keys, reduced by the variant's law.
     bag: Counter = Counter()
-    stack = [(t, 1)]
-    while stack:
-        s, sign = stack.pop()
-        if not isinstance(s, App) or s.ctor not in own:
-            bag[semantic_key(cl, sig, s)] += sign
-        elif s.ctor == th.ctor:
-            stack += ((s.args[1], sign), (s.args[0], sign))
-        elif s.ctor == th.inverse:
-            stack.append((s.args[0], -sign))
-        elif s.ctor != th.unit:  # the absorber
-            bag[("f", s.ctor, ())] += sign
+    for k, sign in zip(keys, signs):
+        bag[k] += sign
     if th.variant is Variant.GROUP:
         bag = {k: n for k, n in bag.items() if n}
     elif th.variant in IDEM_VARIANTS:
@@ -125,8 +145,10 @@ def _theory_key(cl: Classification, sig: Signature, th: Type2Theory, t: Term):
 
 
 def algebraic_equal(cl: Classification, sig: Signature, t: Term, u: Term) -> bool:
-    """Exact equality modulo the catalog theories (recursively layered)."""
-    return semantic_key(cl, sig, t) == semantic_key(cl, sig, u)
+    """Exact equality modulo the catalog theories (recursively layered).  One
+    pass keys both terms, so a subterm they share is keyed once."""
+    kt, ku = _keys(cl, t, u)
+    return kt == ku
 
 
 # ---------------------------------------------------------------------------

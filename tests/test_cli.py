@@ -91,9 +91,8 @@ def test_norm_sharing_statistics_go_to_stderr(capsys):
     assert out == "Plus(One, Plus(One, One))\n"
     assert re.fullmatch(r"sharing: nodes=(\d+) edges=(\d+)\n", err)
     nodes = int(err.split("nodes=")[1].split()[0])
-    # at minimum the three distinct subterms of the value; the table may
-    # also hold intermediates probed during cancellation
-    assert nodes >= 3
+    # the three distinct subterms of the input, which is its own value
+    assert nodes == 3
 
 
 def test_norm_rejects_bad_expressions(capsys):

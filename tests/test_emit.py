@@ -394,7 +394,7 @@ def test_eval_rhs_calls_construct_in_recursive_order(monkeypatch):
         monkeypatch.setitem(world, "construct", spy)
         expected = reference(rhs)
         expected_calls, calls[:] = list(calls), []
-        assert world["_eval_rhs"](rhs, binding, family, None) == expected
+        assert world["_eval_rhs"](rhs, binding, family) == expected
         assert calls == expected_calls and len(calls) >= 8
 
 

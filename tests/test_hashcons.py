@@ -6,12 +6,10 @@ of distinct subterms, computed here by brute-force set construction.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import pathlib
 import random
 import re
-import weakref
 
 import pytest
 
@@ -217,6 +215,30 @@ def test_from_term_keeps_the_callers_object_when_children_are_canonical():
     assert table.canonical(plus(opp(App("One")), App("One"))) is v
 
 
+def test_interning_walks_each_object_of_a_shared_term_once(monkeypatch):
+    """F^12(L) over one shared argument per level, interned after an equal
+    copy: its nodes are rebuilt, not kept, and each of its 13 objects is
+    still walked once, not each of the 8,191 nodes of its tree.  normalize
+    with that table walks its input and its value (here the same term)."""
+    sig, spec = parse_definition("type t = L | F(t, t) | P(t, t)\nwith P: associative, commutative")
+    fam = compile_family(sig, spec)
+
+    def shared():
+        x = App("L")
+        for _ in range(12):
+            x = App("F", (x, x))
+        return x
+
+    table = HashConsTable(sig)
+    first = table.canonical(shared())
+    calls = []
+    node = HashConsTable.node
+    monkeypatch.setattr(HashConsTable, "node", lambda self, *a: calls.append(a[0]) or node(self, *a))
+    assert table.canonical(shared()) is first
+    assert normalize(shared(), fam, table) is first
+    assert len(calls) == 3 * 13 and len(table) == 13
+
+
 def test_edges_equal_the_arities_of_distinct_subterms():
     text = "type cell = Nil | Cons(int, cell) | Tag(string, cell) | Pair(cell, cell)"
     sig, _ = parse_definition(text)
@@ -256,9 +278,9 @@ def test_edges_equal_the_arities_of_distinct_subterms():
     ],
 )
 def test_norm_sharing_counts_cover_the_value_and_the_input_leaves(capsys, name, ac, pool):
-    """`norm --sharing` interns what the construction functions return, not
-    necessarily every partial sum; its counts must still cover each distinct
-    subterm of the normal form and of every input leaf, with their arities."""
+    """`norm --sharing` interns the input and the value; its counts must
+    cover each distinct subterm of the normal form and of every input leaf,
+    with their arities."""
     sig, _, fam = load(name)
     rng = random.Random(11)
     for n in (2, 7, 16, 40):
@@ -274,6 +296,26 @@ def test_norm_sharing_counts_cover_the_value_and_the_input_leaves(capsys, name, 
         seen = distinct_subterms([value] + [normalize(parse_ground_term(p, sig), fam) for p in parts])
         assert nodes >= len(seen), sums[0]
         assert edges >= sum(len(t.args) for t in seen if isinstance(t, App)), sums[0]
+
+
+def test_norm_sharing_counts_exactly_the_input_and_the_value(capsys):
+    """`norm --sharing` on a 2,000-leaf left chain of two leaves under
+    syn_ac: the table holds the distinct subterms of the parsed input and of
+    the value, with their arities, and no comb built on the way."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "defs" / "syn_ac.rdt"
+    sig, spec = parse_definition(path.read_text())
+    rng = random.Random(11)
+    leaves = [rng.choice(["S(L)", "S(S(S(L)))"]) for _ in range(2000)]
+    text = "P(" * 1999 + leaves[0] + "".join(f", {leaf})" for leaf in leaves[1:])
+    assert cli.main(["norm", str(path), "--sharing", "-e", text]) == 0
+    out, err = capsys.readouterr()
+    nodes, edges = map(int, re.fullmatch(r"sharing: nodes=(\d+) edges=(\d+)\n", err).groups())
+    term = parse_ground_term(text, sig)
+    value = normalize(term, compile_family(sig, spec))
+    assert out == format_term(value) + "\n"
+    seen = distinct_subterms([term, value])
+    assert (nodes, edges) == (len(seen), sum(len(t.args) for t in seen if isinstance(t, App)))
+    assert nodes == 2 * 1999 + 3  # L, S(L), S(S(L)), S^3(L); the innermost sum is shared
 
 
 def test_sharing_hashes_each_node_a_bounded_number_of_times(monkeypatch):
@@ -321,9 +363,9 @@ def test_sharing_hashes_each_node_a_bounded_number_of_times(monkeypatch):
 
 
 def test_sharing_normalizes_a_large_balanced_sum_without_recursion():
-    """With a table, a merge hands from_term a whole rebuilt comb prefix: it is
-    interned (and hashed) without recursion.  Results are read with loops,
-    since == and format_term on a 5,000-leaf comb recurse."""
+    """With a table, normalize hands from_term the whole 5,000-leaf value:
+    it is interned (and hashed) without recursion.  Results are read with
+    loops, since == and format_term on a 5,000-leaf comb recurse."""
     sig, spec = parse_definition("type t = L | S(t) | P(t, t)\nwith P: associative, commutative")
     fam = compile_family(sig, spec)
     rng = random.Random(8)
@@ -352,7 +394,7 @@ def test_sharing_normalizes_a_large_balanced_sum_without_recursion():
     fresh = HashConsTable(sig)
     fresh.from_term(shared)
     assert fresh.sharing_stats() == counts
-    nodes, edges = table.sharing_stats()  # partial sums are interned too
+    nodes, edges = table.sharing_stats()  # the input's subterms are interned too
     assert nodes >= counts[0] and edges >= counts[1]
 
 
@@ -422,7 +464,7 @@ def test_interning_an_equal_copy_neither_hashes_nor_compares_terms(monkeypatch):
     assert table.sharing_stats() == (len(seen), sum(len(s.args) for s in seen if isinstance(s, App)))
 
 
-# --- construction memoized on the table ---------------------------------------
+# --- construction with a table ------------------------------------------------
 
 AC_SUM = "type t = L | S(t) | P(t, t)\nwith P: associative, commutative\n"
 
@@ -440,58 +482,9 @@ def balanced_sum(leaves):
     return leaves[0]
 
 
-def count_entries(monkeypatch):
-    """Count the construction functions' runs (builder._construct_entry)."""
-    calls = []
-    real = builder._construct_entry
-
-    def counting_entry(ctor, entry, args, fam, table):
-        calls.append(ctor)
-        return real(ctor, entry, args, fam, table)
-
-    monkeypatch.setattr(builder, "_construct_entry", counting_entry)
-    return calls
-
-
-def test_normalizing_a_term_again_in_one_table_runs_no_construction_function(monkeypatch):
-    sig, spec = parse_definition(AC_SUM)
-    fam = compile_family(sig, spec)
-    rng = random.Random(18)
-    term = balanced_sum([s_power(rng.randrange(20)) for _ in range(60)])
-    table = HashConsTable(sig)
-    first = normalize(term, fam, table)
-    calls = count_entries(monkeypatch)
-    assert normalize(term, fam, table) is first
-    assert calls == []
-
-
-def test_repeated_leaves_run_each_construction_once(monkeypatch):
-    """A balanced sum of 200 leaves drawn from 4 distinct S^k(L): the
-    construction functions run at most once per distinct (ctor, arguments)
-    call, however often the sum repeats a leaf or a sub-sum."""
-    sig, spec = parse_definition(AC_SUM)
-    fam = compile_family(sig, spec)
-    rng = random.Random(4)
-    pool = [s_power(k) for k in (2, 7, 11, 19)]
-    term = balanced_sum([rng.choice(pool) for _ in range(200)])
-    distinct = set()
-    real_construct = builder.construct
-
-    def recording_construct(ctor, args, fam, table=None):
-        distinct.add((ctor, tuple(args)))  # structurally equal arguments are one canonical tuple
-        return real_construct(ctor, args, fam, table)
-
-    calls = count_entries(monkeypatch)
-    monkeypatch.setattr(builder, "construct", recording_construct)
-    value = normalize(term, fam, HashConsTable(sig))
-    monkeypatch.undo()
-    assert value == normalize(term, fam)
-    assert 0 < len(calls) <= len(distinct), (len(calls), len(distinct))
-
-
 def test_one_table_serves_two_families_of_one_signature():
-    """The memo belongs to a family: an AC and a free P over one signature
-    share a table, and each gets its own normal form in either order."""
+    """An AC and a free P over one signature share a table, and each family
+    gets its own normal form in either order."""
     sig, ac_spec = parse_definition(AC_SUM)
     ac, free = compile_family(sig, ac_spec), compile_family(sig, TheorySpec())
     term = App("P", (App("P", (s_power(3), App("L"))), s_power(1)))
@@ -505,23 +498,13 @@ def test_one_table_serves_two_families_of_one_signature():
                 assert value == expected and value is table.canonical(expected)
 
 
-def test_construct_on_arguments_outside_the_table_is_right_and_stores_no_stale_id(monkeypatch):
-    """Arguments the table does not hold are never memoized: their ids may
-    be reused once they are collected, so a key on them could later match
-    another term.  Every key left in a memo names a live canonical object:
-    construct saw it as an argument, it is still alive, and the table holds it."""
+def test_construct_on_arguments_outside_the_table_is_right_and_stores_no_stale_id():
+    """Arguments the table does not hold may be collected and their ids
+    reused, so nothing may be filed under them: construct on such
+    arguments still gives the plain value as the table's object."""
     sig, spec = parse_definition(AC_SUM)
     fam = compile_family(sig, spec)
     table = HashConsTable(sig)
-    seen: dict[int, list] = {}  # id -> weak references to every argument construct got with it
-    real_construct = builder.construct
-
-    def recording_construct(ctor, args, fam, table=None):
-        for a in args:
-            seen.setdefault(id(a), []).append(weakref.ref(a))
-        return real_construct(ctor, args, fam, table)
-
-    monkeypatch.setattr(builder, "construct", recording_construct)
     rng = random.Random(9)
     normalize(balanced_sum([s_power(rng.randrange(6)) for _ in range(20)]), fam, table)
     for _ in range(300):
@@ -529,11 +512,7 @@ def test_construct_on_arguments_outside_the_table_is_right_and_stores_no_stale_i
         args = (args[0], normalize(args[1], fam))  # a normal comb built outside the table
         value = builder.construct("P", args, fam, table)
         assert value == construct("P", args, fam) and value is table.canonical(value)
-        del args, value
-    monkeypatch.undo()
-    gc.collect()
-    keys = list(table.memo(fam))
-    assert keys and all(any(table.holds(r()) for r in seen[i]) for key in keys for i in key[1:])
+        del args, value  # their ids may be reused by the next terms
 
 
 def test_a_group_sum_interns_no_inverse_it_built_only_to_cancel():

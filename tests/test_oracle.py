@@ -39,16 +39,18 @@ from canonform import (
     find_redex,
     normalize,
     parse_definition,
+    parse_ground_term,
     semantic_key,
     Variant,
     validate_family,
 )
 import canonform.acnf as acnf
+from canonform import cli
 import canonform.builder as builder
 import canonform.oracle as oracle
 from canonform.terms import _splice, cache_hashes, positions, preorder, size, subterm_at
 
-from conftest import instantiate, load, match_syntactic, terms
+from conftest import FIXTURES, instantiate, load, match_syntactic, terms
 
 ZERO, ONE = App("Zero"), App("One")
 
@@ -401,6 +403,22 @@ def test_find_redex_without_rules_reads_no_term():
     assert find_redex(sig, t, [], {"Plus": "right"}) is None
 
 
+def test_find_redex_matches_a_repeated_variable_outside_an_ac_spine():
+    sig, spec = parse_definition("type t = A | B | F(t, t)\nrule F(x, x) -> x")
+    rules = list(spec.rules)
+    same = App("F", (App("A"), App("A")))
+    assert find_redex(sig, same, rules, {}) == (same, rules[0])
+    assert find_redex(sig, App("F", (App("A"), App("B"))), rules, {}) is None
+
+
+def test_find_redex_matches_an_int_constant_pattern():
+    sig, spec = parse_definition("type t = A | I(int) | F(t)\nrule F(I(0)) -> A")
+    rules = list(spec.rules)
+    zero = App("F", (App("I", (Prim("int", 0),)),))
+    assert find_redex(sig, zero, rules, {}) == (zero, rules[0])
+    assert find_redex(sig, App("F", (App("I", (Prim("int", 1),)),)), rules, {}) is None
+
+
 DEEP_REDEXES = {
     "syn_group": App("P", (App("L"), App("N", (App("L"),)))),
     "syn_nil": App("P", (App("L"), App("L"))),
@@ -504,6 +522,30 @@ def test_validate_reports_the_normal_forms_of_a_sabotaged_build(
     assert pairs
     for t, v in pairs:
         assert v == normalize(t, fam), t
+
+
+def test_validate_prints_a_correctness_counterexample(monkeypatch, capsys):
+    """An insert that drops its leaf: Plus(A, A) comes out as A, which the
+    algebraic key tells apart from the input."""
+    monkeypatch.setattr(builder, "insert", lambda ctor, x, u, fam, table=None: u)
+    assert cli.main(["validate", str(FIXTURES / "vec.rdt"), "--size", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "correctness\tPlus(A, A)\tA"
+    assert out[-1] == "scale 4: 12 correctness, 4 completeness"
+
+
+def test_validate_reports_unproved_correctness_of_a_rule_family(monkeypatch, capsys):
+    """Clauses whose right-hand side always builds E: the closure proves no
+    equation false, so C(G, E) -> E is an unknown, not a counterexample."""
+    monkeypatch.setattr(builder, "_eval_rhs", lambda rhs, binding, fam: App("E"))
+    assert cli.main(["validate", str(FIXTURES / "neu_rules.rdt"), "--size", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "completeness\tG\tC(E, G)",
+        "completeness\tG\tC(G, E)",
+        "unknown\tC(E, G)\tE\tcorrectness not proved within budget",
+        "unknown\tC(G, E)\tE\tcorrectness not proved within budget",
+        "scale 4: 2 completeness, 2 unknown",
+    ]
 
 
 def test_validate_type1_with_tiny_budget_reports_unknowns():
@@ -902,3 +944,72 @@ def test_semantic_key_reads_5000_leaf_combs_without_recursion(variant):
     nf_key = key(normalize(_balanced(leaves), fam))
     for orientation in ("right", "left"):
         assert key(acnf.build_comb("P", leaves, orientation)) == nf_key, orientation
+
+
+def test_semantic_key_walks_deep_free_terms_without_recursion():
+    """Under syn_ac, S^100000(L) gets its nested key, read back here with a
+    loop.  P(S^1500(L), S^1500(L)), parsed so that the leaf is one shared
+    object, is algebraically equal to its normal form: the leaf gets one key
+    object, so neither the sum's multiset nor the comparison walks it."""
+    sig, spec = parse_definition((SYN_DEFS / "syn_ac.rdt").read_text())
+    fam = compile_family(sig, spec)
+    cl = fam.classification
+    t = App("L")
+    for _ in range(100_000):
+        t = App("S", (t,))
+
+    def shallow(f, *args):
+        try:
+            return f(cl, sig, *args)
+        except RecursionError:
+            pass
+        # failing outside the handler keeps pytest from searching the deep
+        # traceback for recursion, which takes minutes
+        pytest.fail(f"{f.__name__} raised RecursionError", pytrace=False)
+
+    key, depth = shallow(semantic_key, t), 0
+    while key[1] == "S":
+        key, depth = key[2][0], depth + 1
+    assert (depth, key) == (100_000, ("f", "L", ()))
+    leaf = "S(" * 1500 + "L" + ")" * 1500
+    t = parse_ground_term(f"P({leaf}, {leaf})", sig)
+    assert shallow(algebraic_equal, t, normalize(t, fam))
+    assert not shallow(algebraic_equal, t, parse_ground_term(f"P({leaf}, L)", sig))
+
+
+def recursive_semantic_key(cl, t):
+    """semantic_key as a recursive reading, as it was before one loop read
+    the whole term: the reference for the keys themselves."""
+    if isinstance(t, Prim):
+        return ("p", t.ptype, t.value)
+    th = cl.owner.get(t.ctor)
+    if th is None:
+        return ("f", t.ctor, tuple(recursive_semantic_key(cl, a) for a in t.args))
+    bag = Counter()
+    stack = [(t, 1)]
+    while stack:
+        s, sign = stack.pop()
+        if not isinstance(s, App) or s.ctor not in th.symbols():
+            bag[recursive_semantic_key(cl, s)] += sign
+        elif s.ctor == th.ctor:
+            stack += ((s.args[1], sign), (s.args[0], sign))
+        elif s.ctor == th.inverse:
+            stack.append((s.args[0], -sign))
+        elif s.ctor != th.unit:  # the absorber
+            bag[("f", s.ctor, ())] += sign
+    return oracle._theory_key(th, list(bag), list(bag.values()))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "aci", "acnil", "exp", "free", "left_group", "vec",
+        "syn_ac", "syn_group", "syn_idem", "syn_left_group", "syn_nil",
+        *PARTITION_TYPES,
+    ],
+)
+def test_semantic_key_equals_the_recursive_reading(name):
+    sig, spec = partition_family(name)
+    cl = classify(spec, sig)
+    for t in enumerate_ground(sig, sig.rdt_sort, 6):
+        assert semantic_key(cl, sig, t) == recursive_semantic_key(cl, t), t
