@@ -5,14 +5,21 @@ Two oracles:
 * exact algebraic interpretations for the catalog theories: one loop reads
   each AC spine into a signed multiset of leaf keys, and the variant's law
   reduces it (nonzero counts for groups, counts for plain AC, the distinct
-  leaves for idempotence, parity plus one absorber for nilpotence).  One
-  explicit stack holds the spines and the constructors outside them, so
-  neither a sum's length nor a term's depth costs recursion;
+  leaves for idempotence, parity plus one absorber for nilpotence).  A
+  leaf is read by its key, so layered theories compose: one keyed as the
+  unit drops out, one keyed as a sum of the same theory adds its items.
+  One explicit stack holds the spines and the constructors outside them,
+  so neither a sum's length nor a term's depth costs recursion, and equal
+  keys of one call are one object, so deep keys compare by identity;
 * a bounded closure of the equations, a sound semi-decision procedure that
   answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
   a HashConsTable local to the call, so equal terms are one object: states
   are compared and looked up by identity, and each size is stored, not
   measured.
+
+The redex search matches rule left-hand sides modulo AC by one depth-first
+search over an explicit stack of states, so neither a pattern's depth nor
+the length of a spine costs recursion either.
 
 validate_family checks a compiled family on every term up to a size bound
 and reports correctness counterexamples (result not equal to the input),
@@ -43,6 +50,7 @@ from .terms import (
     Var,
     compare,
     enumerate_ground,
+    fold,
     format_term,
     preorder,
     require_enumerable,
@@ -77,10 +85,15 @@ def semantic_key(cl: Classification, sig: Signature, t: Term):
 
 def _keys(cl: Classification, *terms: Term) -> list:
     """The keys of terms, by one loop over an explicit stack on which a spine's
-    children are its leaves.  An App met again reuses its first key object,
-    so keys of a shared subterm compare by identity, not by a deep walk."""
+    children are its leaves.  Equal keys are one object, so two deep keys
+    compare by identity, not by a deep walk: an App met again reuses its key,
+    and a new key is filed by its constructor and the identities of its
+    children's keys (hashing the key would walk it), a primitive's and a
+    sum's by itself.  The absorber item a nilpotent sum gains may be a copy,
+    but it is a constant."""
     keys: list = []  # keys of the finished subterms, leftmost first
     known: dict[int, tuple] = {}  # id of a keyed App -> its key
+    filed: dict[tuple, tuple] = {}  # what a key is filed by -> the one key object
     todo: list = list(terms[::-1])  # terms still to key, and (App, theory, n, signs) steps
     while todo:
         u = todo.pop()
@@ -88,29 +101,30 @@ def _keys(cl: Classification, *terms: Term) -> list:
             u, th, n, signs = u
             kids = keys[len(keys) - n:]
             del keys[len(keys) - n:]
-            known[id(u)] = key = ("f", u.ctor, tuple(kids)) if th is None else _theory_key(th, kids, signs)
+            key = ("f", u.ctor, tuple(kids)) if th is None else _theory_key(th, kids, signs)
+            known[id(u)] = key = filed.setdefault((key[1], *map(id, key[2])) if key[0] == "f" else key, key)
             keys.append(key)
         elif isinstance(u, Var):
             raise OracleError("interpretation of non-ground term")
         elif isinstance(u, Prim):
-            keys.append(("p", u.ptype, u.value))
+            keys.append(filed.setdefault(key := ("p", u.ptype, u.value), key))
         elif u.ctor in cl.type1:
             raise OracleError(f"no algebraic interpretation for rule-defined constructor {u.ctor!r}")
         elif not u.args:  # a constant, the unit and the absorber among them
-            keys.append(("f", u.ctor, ()))
+            keys.append(filed.setdefault((u.ctor,), ("f", u.ctor, ())))
         elif id(u) in known:
             keys.append(known[id(u)])
         else:  # a free node, or th's spine: its leaves, each with a sign
             th = cl.owner.get(u.ctor)
             leaves, signs, walk = (u.args, None, []) if th is None else ([], [], [(u, 1)])
-            while walk:  # the unit drops out, and an inverse flips its argument's sign
+            while walk:  # an inverse flips its argument's sign
                 s, sign = walk.pop()
                 c = s.ctor if type(s) is App else None
                 if c == th.ctor:
                     walk += ((s.args[1], sign), (s.args[0], sign))
                 elif c is not None and c == th.inverse:
                     walk.append((s.args[0], -sign))
-                elif c is None or c != th.unit:  # a leaf; the absorber is one too
+                else:  # a leaf; the unit and the absorber are leaves too
                     leaves.append(s)
                     signs.append(sign)
             todo.append((u, th, len(leaves), signs))
@@ -120,9 +134,14 @@ def _keys(cl: Classification, *terms: Term) -> list:
 
 def _theory_key(th: Type2Theory, keys: list, signs: list[int]):
     # The spine's signed multiset of leaf keys, reduced by the variant's law.
+    # Leaves are read by their keys: one keyed as a sum of th adds its
+    # items, and one keyed as the unit drops out.
+    tag, unit = th.variant.value, ("f", th.unit, ())
     bag: Counter = Counter()
     for k, sign in zip(keys, signs):
-        bag[k] += sign
+        for item, n in k[2] if k[0] == tag and k[1] == th.ctor else ((k, 1),):
+            bag[item] += sign * n
+    bag.pop(unit, None)
     if th.variant is Variant.GROUP:
         bag = {k: n for k, n in bag.items() if n}
     elif th.variant in IDEM_VARIANTS:
@@ -136,12 +155,12 @@ def _theory_key(th: Type2Theory, keys: list, signs: list[int]):
         if paired and th.absorber != th.unit:
             bag[a_key] = 1
     if not bag:
-        return ("f", th.unit, ())
+        return unit
     if len(bag) == 1:
         (k, n), = bag.items()
         if n == 1:
             return k  # a single leaf stands for itself
-    return (th.variant.value, th.ctor, frozenset(bag.items()))
+    return (tag, th.ctor, frozenset(bag.items()))
 
 
 def algebraic_equal(cl: Classification, sig: Signature, t: Term, u: Term) -> bool:
@@ -204,23 +223,8 @@ class _States(HashConsTable):
         return l, r, self.size[id(r)] - len(occurrences), occurrences
 
     def instance(self, r: Term, binding: dict[str, Term]) -> Term:
-        done: list[Term] = []
-        stack: list = [r]
-        while stack:
-            u = stack.pop()
-            if type(u) is tuple:
-                ctor, n = u
-                args = tuple(done[-n:])
-                del done[-n:]
-                done.append(self.node(ctor, args))
-            elif isinstance(u, Var):
-                done.append(binding[u.name])
-            elif isinstance(u, App) and u.args:
-                stack.append((u.ctor, len(u.args)))
-                stack += reversed(u.args)
-            else:
-                done.append(u)  # an interned leaf of r
-        return done[0]
+        node = self.node  # a constant of r is interned: it stands for itself
+        return fold(r, lambda u: binding[u.name] if type(u) is Var else u, lambda u, a: node(u.ctor, a) if a else u)
 
 
 def _match_state(p: Term, t: Term, binding: dict[str, Term]) -> bool:
@@ -356,109 +360,92 @@ def closure_equal(
 # redex search modulo AC
 
 
-def _submultisets(items: list[tuple[Term, int]]) -> Iterator[Counter]:
-    # all non-empty sub-multisets, deterministic order
-    ranges = [range(n + 1) for _, n in items]
-    for counts in itertools.product(*ranges):
-        if not any(counts):
-            continue
-        yield Counter({t: c for (t, _), c in zip(items, counts) if c})
-
-
 def _ac_match(
-    sig: Signature,
-    orientation: Orientation,
-    p: Term,
-    t: Term,
-    binding: dict[str, Term],
+    sig: Signature, orientation: Orientation, p: Term, t: Term, binding: dict[str, Term]
 ) -> Iterator[dict[str, Term]]:
-    """All matches of pattern p against term t modulo the AC constructors."""
-    if isinstance(p, Var):
-        bound = binding.get(p.name)
-        if bound is not None:
-            if bound == t:
-                yield binding
-            return
-        b2 = dict(binding)
-        b2[p.name] = t
-        yield b2
-        return
-    if isinstance(p, Prim):
-        if p == t:
-            yield binding
-        return
-    if p.ctor in orientation:
-        if not (isinstance(t, App) and t.ctor == p.ctor):
-            return
-        C = p.ctor
-        pleaves = spine(C, p)
-        tleaves = Counter(spine(C, t))
-        yield from _ac_match_leaves(sig, orientation, C, pleaves, tleaves, binding)
-        return
-    if not (isinstance(t, App) and t.ctor == p.ctor and len(t.args) == len(p.args)):
-        return
-    yield from _match_seq(sig, orientation, list(p.args), list(t.args), binding)
+    """All matches of pattern p against term t modulo the AC constructors:
+    every binding that extends binding.
 
-
-def _match_seq(sig, orientation, ps, ts, binding) -> Iterator[dict[str, Term]]:
-    if not ps:
-        yield binding
-        return
-    for b in _ac_match(sig, orientation, ps[0], ts[0], binding):
-        yield from _match_seq(sig, orientation, ps[1:], ts[1:], b)
-
-
-def _ac_match_leaves(
-    sig, orientation, C: str, pleaves: list[Term], remaining: Counter, binding
-) -> Iterator[dict[str, Term]]:
-    """All matches of a C-spine's pattern leaves against the multiset of the
-    term's leaves.  The leaves that need no choice of sub-multiset go first:
-    a constant or constructor pattern takes one term leaf, a bound variable
-    the leaves of its value.  Then an unbound variable that occurs m times is
-    bound once, to leaves that remain m times over, and the last one takes
-    what remains, so C(x, C(x, y)) lists no sub-multiset of distinct leaves.
+    One depth-first search over an explicit stack of states, so neither a
+    pattern's depth nor a spine's length costs recursion.  A state is a
+    binding and the problems still to solve, chained as (problem, rest)
+    pairs.  A problem is a (pattern, term) pair or a spine problem
+    (C, pattern leaves, term-leaf Counter, leaf still to take): the pattern
+    leaves of a C-spine against the multiset of the term's leaves, less the
+    leaf that the pattern leaf before them matched.  The pattern leaves that
+    need no choice go first: a constant or constructor pattern takes one
+    term leaf, a bound variable the leaves of its value.  Then an unbound
+    variable that occurs m times is bound once, to leaves that remain m
+    times over, and the last one takes what remains, so C(x, C(x, y)) lists
+    no sub-multiset of distinct leaves.
     """
-    if not pleaves:
-        if not remaining:
+    stack: list = [(binding, ((p, t), None))]  # states, and iterators of states
+    while stack:
+        state = stack.pop()
+        if type(state) is not tuple:  # an unbound variable's choices, listed lazily
+            for nxt in state:
+                stack += (state, nxt)
+                break
+            continue
+        binding, todo = state
+        if todo is None:
             yield binding
-        return
-    for i, p in enumerate(pleaves):
-        if type(p) is not Var or p.name in binding:
-            break
-    else:  # unbound variables only: the first one's m occurrences go at once
-        p = pleaves[0]
-        rest = [q for q in pleaves if q.name != p.name]
-        m = len(pleaves) - len(rest)
-        if not rest and (not remaining or any(n % m for n in remaining.values())):
-            return
-        key = functools.cmp_to_key(lambda a, b: compare(sig, a, b))
-        fits = sorted((leaf for leaf, n in remaining.items() if n >= m), key=key)
-        items = [(leaf, remaining[leaf] // m) for leaf in fits]
-        for chosen in _submultisets(items) if rest else [Counter(dict(items))]:
-            # chosen lists its leaves in items' order, so they come out sorted
-            b2 = dict(binding)
-            b2[p.name] = build_comb(
-                C, list(chosen.elements()), orientation.get(C, "right")
-            )
-            taken = Counter({leaf: m * n for leaf, n in chosen.items()})
-            yield from _ac_match_leaves(
-                sig, orientation, C, rest, remaining - taken, b2
-            )
-        return
-    rest = pleaves[:i] + pleaves[i + 1 :]
-    if type(p) is Var:
-        need = Counter(spine(C, binding[p.name]))
-        if all(remaining[k] >= n for k, n in need.items()):
-            yield from _ac_match_leaves(
-                sig, orientation, C, rest, remaining - need, binding
-            )
-        return
-    # non-variable pattern leaf consumes exactly one term leaf
-    for leaf in list(remaining):
-        for b in _ac_match(sig, orientation, p, leaf, binding):
-            yield from _ac_match_leaves(
-                sig, orientation, C, rest, remaining - Counter([leaf]), b
-            )
+            continue
+        problem, todo = todo
+        if len(problem) == 2:
+            p, t = problem
+            if type(p) is Var:
+                bound = binding.get(p.name)
+                if bound is None:
+                    binding = {**binding, p.name: t}
+                elif bound != t:
+                    continue
+            elif type(p) is Prim or type(t) is not App or t.ctor != p.ctor or len(t.args) != len(p.args):
+                if type(p) is not Prim or p != t:  # only a constant matches here, itself
+                    continue
+            elif p.ctor in orientation:
+                todo = ((p.ctor, spine(p.ctor, p), Counter(spine(p.ctor, t)), None), todo)
+            else:
+                for pair in zip(reversed(p.args), reversed(t.args)):
+                    todo = (pair, todo)
+            stack.append((binding, todo))
+            continue
+        C, pleaves, remaining, take = problem
+        if take is not None:
+            remaining = remaining - Counter((take,))
+        for i, p in enumerate(pleaves):
+            if type(p) is not Var or p.name in binding:
+                break
+        else:  # unbound variables only, or none
+            if pleaves:
+                stack.append(_choices(sig, orientation[C], C, pleaves, remaining, binding, todo))
+            elif not remaining:
+                stack.append((binding, todo))
+            continue
+        rest = pleaves[:i] + pleaves[i + 1 :]
+        if type(p) is Var:
+            need = Counter(spine(C, binding[p.name]))
+            if all(remaining[k] >= n for k, n in need.items()):
+                stack.append((binding, ((C, rest, remaining - need, None), todo)))
+        else:  # a constant or constructor pattern takes one term leaf
+            stack += [(binding, ((p, leaf), ((C, rest, remaining, leaf), todo))) for leaf in reversed(remaining)]
+
+
+def _choices(sig, o, C, pleaves, remaining, binding, todo) -> Iterator[tuple]:
+    # The states of a spine problem whose pattern leaves are all unbound
+    # variables: the first one's m occurrences are bound to an m-fold
+    # sub-multiset of the remaining leaves, in the term order; the last
+    # variable takes all of them, and fails where a leaf is left over.
+    name = pleaves[0].name
+    rest = [q for q in pleaves if q.name != name]
+    m = len(pleaves) - len(rest)
+    key = functools.cmp_to_key(lambda a, b: compare(sig, a, b))
+    items = [(leaf, remaining[leaf] // m) for leaf in sorted(remaining, key=key) if remaining[leaf] >= m]
+    for counts in itertools.product(*(range(n + 1) for _, n in items)) if rest else [[n for _, n in items]]:
+        if any(counts):
+            chosen = [leaf for (leaf, _), c in zip(items, counts) for _ in range(c)]
+            taken = Counter({leaf: m * c for (leaf, _), c in zip(items, counts)})
+            yield {**binding, name: build_comb(C, chosen, o)}, ((C, rest, remaining - taken, None), todo)
 
 
 def find_redex(

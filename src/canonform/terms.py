@@ -311,8 +311,11 @@ def fold(t: Term, leaf: Callable, node: Callable, args: Optional[Callable] = Non
             done.append(node(u, values))
         elif isinstance(u, App):
             children = u.args if args is None else args(u)
-            stack.append((u, len(children)))
-            stack += reversed(children)
+            if children:
+                stack.append((u, len(children)))
+                stack += reversed(children)
+            else:  # a constant is finished at once
+                done.append(node(u, ()))
         else:
             done.append(leaf(u))
     return done[0]

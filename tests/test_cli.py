@@ -38,6 +38,16 @@ def test_check_accepts_group_definition(capsys):
     assert err == ""
 
 
+def test_check_prints_units_and_absorbers(capsys):
+    code, out, err = run(capsys, "check", FIXTURES / "layered.rdt")
+    assert (code, out, err) == (
+        0,
+        "Q: aci-neutral (unit=E, right combs)\n"
+        "X: ac-nilpotent-neutral (unit=B, absorber=A, right combs)\n",
+        "",
+    )
+
+
 def test_check_reports_rule_and_free_constructors(capsys):
     code, out, err = run(capsys, "check", FIXTURES / "neu_rules.rdt")
     assert code == 0

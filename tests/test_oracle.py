@@ -50,7 +50,7 @@ import canonform.builder as builder
 import canonform.oracle as oracle
 from canonform.terms import _splice, cache_hashes, positions, preorder, size, subterm_at
 
-from conftest import FIXTURES, instantiate, load, match_syntactic, terms
+from conftest import BAG, FIXTURES, bag_universe, instantiate, load, match_syntactic, terms
 
 ZERO, ONE = App("Zero"), App("One")
 
@@ -116,6 +116,20 @@ def test_semantic_key_rejects_rule_defined_constructors():
     cl = classify(spec, sig)
     with pytest.raises(OracleError):
         semantic_key(cl, sig, App("C", (App("E"), App("G"))))
+
+
+def test_semantic_key_reads_int_and_string_constants_and_rejects_variables():
+    """Under an AC U, keys of BAG's terms are equal exactly when their
+    normal forms are; a term with a variable has no key."""
+    sig, spec = parse_definition(BAG + "\nwith U: associative, commutative")
+    fam = compile_family(sig, spec)
+    cl = fam.classification
+    assert semantic_key(cl, sig, Prim("int", 7)) == ("p", "int", 7)
+    assert semantic_key(cl, sig, Prim("string", "ab")) == ("p", "string", "ab")
+    pairs = {(semantic_key(cl, sig, t), normalize(t, fam)) for t in bag_universe() if isinstance(t, App)}
+    assert len({k for k, _ in pairs}) == len(pairs) == len({v for _, v in pairs}) < len(bag_universe())
+    with pytest.raises(OracleError, match="non-ground"):
+        semantic_key(cl, sig, App("U", (App("I", (Prim("int", 0),)), Var("x", "bag"))))
 
 
 # --- bounded closure -----------------------------------------------------------
@@ -447,6 +461,35 @@ def test_find_redex_walks_deep_terms_without_recursion(name):
     assert hit is not None and hit[0] == DEEP_REDEXES[name]
 
 
+def _redex_or_fail(sig, t, rules, orientation):
+    try:
+        return find_redex(sig, t, rules, orientation)
+    except RecursionError:
+        pass
+    # failing outside the handler keeps pytest from searching the deep
+    # traceback for recursion, which takes minutes
+    pytest.fail("find_redex raised RecursionError", pytrace=False)
+
+
+def test_find_redex_matches_deep_patterns_without_recursion():
+    """Under the default recursion limit: a left-hand side nested 1,500
+    deep, and one whose AC spine has 1,201 pattern leaves, each on the term
+    it describes."""
+    sig, spec = parse_definition(
+        "type t = E | S(t) | C(t, t)\nrule C(" + "S(" * 1500 + "x" + ")" * 1500 + ", E) -> x"
+    )
+    t = parse_ground_term("C(" + "S(" * 1500 + "E" + ")" * 1500 + ", E)", sig)
+    assert _redex_or_fail(sig, t, list(spec.rules), {}) == (t, spec.rules[0])
+    sum_ = "P(A, " * 1200 + "A" + ")" * 1200
+    sig, spec = parse_definition(
+        f"type t = A | E | F(t) | P(t, t)\nwith P: associative, commutative\nrule F({sum_}) -> E"
+    )
+    t = parse_ground_term(f"F({sum_})", sig)
+    assert _redex_or_fail(sig, t, list(spec.rules), {"P": "right"}) == (t, spec.rules[0])
+    short = parse_ground_term("F(" + "P(A, " * 1199 + "A" + ")" * 1199 + ")", sig)
+    assert _redex_or_fail(sig, short, list(spec.rules), {"P": "right"}) is None
+
+
 # --- validate_family --------------------------------------------------------------
 
 
@@ -756,6 +799,8 @@ def test_leaf_matcher_is_polynomial_in_the_distinct_leaves_of_a_comb(monkeypatch
 # semantic_key as it was before one loop read every theory: a recursive walk
 # per variant and one key encoding each.  Its keys have another shape, so the
 # new keys must induce the same partition: equal exactly when these are.
+# Both read a spine's leaves by their keys: a leaf keyed as the unit drops
+# out, and one keyed as a sum of the same theory adds its items.
 
 
 def reference_semantic_key(cl, sig, t):
@@ -791,15 +836,18 @@ def reference_theory_key(cl, sig, th, t):
         vec = Counter()
 
         def grp(s, sign):
-            if isinstance(s, App) and s.ctor == th.unit:
-                return
             if isinstance(s, App) and s.ctor == th.inverse:
                 grp(s.args[0], -sign)
             elif isinstance(s, App) and s.ctor == th.ctor:
                 grp(s.args[0], sign)
                 grp(s.args[1], sign)
             else:
-                vec[reference_semantic_key(cl, sig, s)] += sign
+                k = reference_atom_key(cl, sig, th, s)
+                if k[:2] == ("g", th.ctor):  # a leaf that is a sum of th
+                    for item, n in k[2]:
+                        vec[item] += sign * n
+                elif k != unit_key:
+                    vec[k] += sign
 
         grp(t, 1)
         vec = Counter({k: n for k, n in vec.items() if n != 0})
@@ -814,13 +862,17 @@ def reference_theory_key(cl, sig, th, t):
     bag = Counter()
 
     def flat(s):
-        if th.unit is not None and isinstance(s, App) and s.ctor == th.unit:
-            return
         if isinstance(s, App) and s.ctor == th.ctor:
             flat(s.args[0])
             flat(s.args[1])
-        else:
-            bag[reference_atom_key(cl, sig, th, s)] += 1
+            return
+        k = reference_atom_key(cl, sig, th, s)
+        if k[:2] == ("m", th.ctor):  # a leaf that is a sum of th
+            bag.update(dict(k[2]))
+        elif k[0] in ("s", "n") and k[1] == th.ctor:
+            bag.update(k[2])
+        elif k != unit_key:
+            bag[k] += 1
 
     flat(t)
     if th.variant is Variant.AC:
@@ -894,6 +946,56 @@ def test_signed_multiset_keys_induce_the_recursive_partition(name):
         pairs.add((ref, new))
     # equal new keys exactly when the reference keys are equal: a bijection
     assert len({ref for ref, _ in pairs}) == len(pairs) == len({new for _, new in pairs})
+
+
+@pytest.mark.parametrize("name", ["group_and_nil", "layered"])
+def test_keys_are_in_bijection_with_the_normal_forms_of_layered_types(name):
+    """Independent of both key functions: on types that layer two catalog
+    theories, two terms up to size 7 get equal keys exactly when they
+    normalize to one value."""
+    sig, spec = partition_family(name)
+    fam = compile_family(sig, spec)
+    cl = fam.classification
+    pairs = {(semantic_key(cl, sig, t), normalize(t, fam)) for t in enumerate_ground(sig, sig.rdt_sort, 7)}
+    assert len({k for k, _ in pairs}) == len(pairs) == len({v for _, v in pairs})
+
+
+def test_layered_sums_are_algebraically_equal_to_their_normal_forms():
+    """A Q-sum whose value is B, the unit of X, drops out of an X-sum, and a
+    Q-sum whose value is an X-sum adds its leaves to the X-sum around it."""
+    sig, spec = parse_definition(
+        "type t = E | A | B | F(t, t) | Q(t, t) | X(t, t)\n"
+        "with Q: associative, commutative, idempotent, neutral(E)\n"
+        "with X: associative, commutative, nilpotent(A), neutral(B)"
+    )
+    fam = compile_family(sig, spec)
+    for text in ("X(Q(B, B), F(A, A))", "X(Q(X(A, F(A, A)), X(A, F(A, A))), F(B, B))"):
+        t = parse_ground_term(text, sig)
+        assert algebraic_equal(fam.classification, sig, t, normalize(t, fam)), text
+
+
+def test_equal_keys_of_separately_built_terms_are_one_object():
+    """Under syn_ac, separately parsed sums of a 1,500-deep leaf, and
+    1,500-deep chains over sums, are algebraically equal: their keys are
+    one object, so no comparison walks them.  Constants too get one key."""
+    sig, spec = parse_definition((SYN_DEFS / "syn_ac.rdt").read_text())
+    cl = classify(spec, sig)
+    deep = "S(" * 1500 + "{}" + ")" * 1500
+    leaf = deep.format("L")
+    for a, b in [(f"P({leaf}, L)", f"P(L, {leaf})"), (deep.format("P(L, S(L))"), deep.format("P(S(L), L)"))]:
+        t, u = parse_ground_term(a, sig), parse_ground_term(b, sig)
+        equal = None
+        try:
+            equal = algebraic_equal(cl, sig, t, u)
+        except RecursionError:
+            pass
+        if equal is None:  # outside the handler, as in _redex_or_fail
+            pytest.fail("algebraic_equal raised RecursionError", pytrace=False)
+        assert equal
+        kt, ku = oracle._keys(cl, t, u)
+        assert kt is ku
+    k1, k2 = oracle._keys(cl, App("L"), App("L"))
+    assert k1 is k2
 
 
 def _balanced(leaves):

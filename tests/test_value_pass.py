@@ -8,6 +8,7 @@ verdict must hold exactly for the finite quotients.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 
 import pytest
@@ -18,6 +19,7 @@ from canonform import (
     SignatureError,
     Var,
     cli,
+    compare,
     compile_family,
     enumerate_ground,
     equations_of,
@@ -26,6 +28,7 @@ from canonform import (
     validate_family,
     validate_terms,
 )
+import canonform.acnf as acnf
 import canonform.builder as builder
 import canonform.oracle as oracle
 import canonform.terms as terms_mod
@@ -101,6 +104,41 @@ def test_value_pass_alone_flags_each_sabotage(monkeypatch, name, attr, sabotage,
     report = validate_family(fam, spec, sig, max_size)
     assert report.has_failures and not report.closed
     assert report_fields(report) == report_fields(validate_terms(fam, spec, sig, max_size))
+
+
+def test_value_pass_flags_a_value_whose_only_fault_is_a_redex(monkeypatch):
+    """A build that adds the unit to every sum it makes keeps each value's
+    key and keeps its combs sorted, so only the redex search can reject it."""
+    sig, spec, _ = load("vec")
+    real = builder._construct_ac
+    order = functools.cmp_to_key(lambda a, b: compare(sig, a, b))
+
+    def add_unit(ctor, entry, args, fam):
+        v = real(ctor, entry, args, fam)
+        leaves = acnf.spine(ctor, v)
+        if len(leaves) < 2 or entry.unit in leaves:
+            return v
+        return acnf.build_comb(ctor, sorted([*leaves, entry.unit], key=order), fam.orientations()[ctor])
+
+    monkeypatch.setattr(builder, "_construct_ac", add_unit)
+    fam = compile_family(sig, spec)
+    assert oracle._value_pass(fam, spec, sig, 3) is None
+    report = validate_terms(fam, spec, sig, 3)
+    assert report.redexes and not (report.correctness or report.completeness or report.acnf_violations)
+    assert report_fields(validate_family(fam, spec, sig, 3)) == report_fields(report)
+
+
+def test_value_pass_leaves_an_exception_of_construct_to_the_full_enumeration(monkeypatch):
+    sig, spec, _ = load("vec")
+
+    def broken(*args):
+        raise ZeroDivisionError("sabotaged insert")
+
+    monkeypatch.setattr(builder, "insert", broken)
+    fam = compile_family(sig, spec)
+    assert oracle._value_pass(fam, spec, sig, 5) is None
+    with pytest.raises(ZeroDivisionError, match="sabotaged insert"):
+        validate_family(fam, spec, sig, 5)
 
 
 def test_clean_validate_at_size_20_enumerates_no_term(monkeypatch, capsys):
