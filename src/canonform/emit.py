@@ -212,16 +212,35 @@ def construct(ctor, args, fam, table=None):
 
 
 def normalize(t):
-    if type(t) is not tuple:
-        return t
-    ctor = t[0]
-    args = tuple(map(normalize, t[1:]))
-    if len(args) != CTOR_ARITY[ctor]:
-        raise ValueError(f"{ctor} expects {CTOR_ARITY[ctor]} arguments")
-    entry = ENTRIES[ctor]
-    if type(entry) is FreeEntry:
-        return (ctor,) + args  # f_C = C
-    return _construct_entry(ctor, entry, args, FAMILY)
+    done = []  # values of the finished subterms, leftmost first
+    nodes = []  # the nodes whose arguments are being folded, innermost last
+    todo = [t]  # subterms still to fold; nodes itself marks where a node ends
+    while todo:
+        u = todo.pop()
+        if u is nodes:
+            u = nodes.pop()
+            k = len(done) + 1 - len(u)
+            args = tuple(done[k:])
+            del done[k:]
+        elif type(u) is not tuple:
+            done.append(u)
+            continue
+        elif len(u) > 1:
+            nodes.append(u)
+            todo.append(nodes)
+            todo += u[:0:-1]
+            continue
+        else:
+            args = ()
+        ctor = u[0]
+        if len(args) != CTOR_ARITY[ctor]:
+            raise ValueError(f"{ctor} expects {CTOR_ARITY[ctor]} arguments")
+        entry = ENTRIES[ctor]
+        if type(entry) is FreeEntry:
+            done.append((ctor,) + args if args else u)  # f_C = C
+        else:
+            done.append(_construct_entry(ctor, entry, args, FAMILY))
+    return done[0]
 '''
 
 

@@ -14,8 +14,10 @@ Two oracles:
 * a bounded closure of the equations, a sound semi-decision procedure that
   answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
   a HashConsTable local to the call, so equal terms are one object: states
-  are compared and looked up by identity, and each size is stored, not
-  measured.
+  are compared and looked up by identity, the union-find runs on
+  identities, and each size is stored, not measured.  A rule is tried only
+  where it can fire: in a state its least growth keeps within the size
+  cap, at a subterm of its head constructor and ground arguments.
 
 The redex search matches rule left-hand sides modulo AC by one depth-first
 search over an explicit stack of states, so neither a pattern's depth nor
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -217,10 +220,22 @@ class _States(HashConsTable):
 
     def rule(self, l: Term, r: Term) -> tuple:
         # interned sides, r's non-variable node count and r's variable
-        # occurrences: an instance's size is known before it is built
+        # occurrences: an instance's size is known before it is built.  Then
+        # where the rule can fire: l's head constructor (None for a variable)
+        # with l's ground arguments by position, and the least growth of a
+        # step.  A step adds size(r) - size(l), plus s - 1 per extra right
+        # occurrence of a variable whose value has s nodes; a variable that
+        # occurs fewer times on the right drops a value of any size.
         l, r = self.canonical(l), self.canonical(r)
         occurrences = [u.name for u in preorder(r) if isinstance(u, Var)]
-        return l, r, self.size[id(r)] - len(occurrences), occurrences
+        head, ground = None, ()
+        if type(l) is App:
+            head = l.ctor
+            ground = tuple((i, a) for i, a in enumerate(l.args) if not _pattern_vars(a))
+        left = Counter(u.name for u in preorder(l) if isinstance(u, Var))
+        shrinks = any(occurrences.count(v) < n for v, n in left.items())
+        growth = -math.inf if shrinks else self.size[id(r)] - self.size[id(l)]
+        return l, r, self.size[id(r)] - len(occurrences), occurrences, head, ground, growth
 
     def instance(self, r: Term, binding: dict[str, Term]) -> Term:
         node = self.node  # a constant of r is interned: it stands for itself
@@ -247,20 +262,26 @@ def _match_state(p: Term, t: Term, binding: dict[str, Term]) -> bool:
 def _neighbors(t: Term, directed, cap: int, states: _States) -> Iterator[Term]:
     """The terms one directed step from t with at most cap nodes, by
     position in preorder, then by rule.  t and the neighbours are interned
-    in states, and directed comes from states.rule."""
+    in states, and directed comes from states.rule.  A rule is tried only
+    where it can fire: not at all when even its least growth would take t
+    past cap, and at a subterm only if the head and the ground arguments
+    agree, which on interned terms is one comparison each."""
     size, node = states.size, states.node
+    fits = cap - size[id(t)]
+    rules = [rule for rule in directed if rule[-1] <= fits]  # rule[-1]: its least growth
     # a subterm with its ancestors: (parent, argument index, parent's chain)
     stack: list = [(t, None)]
     while stack:
         sub, up = stack.pop()
         rest = size[id(t)] - size[id(sub)]
-        for l, r, nodes, occurrences in directed:
-            if type(l) is Var:
+        ctor, args = (sub.ctor, sub.args) if type(sub) is App else (None, ())
+        for l, r, nodes, occurrences, head, ground, _ in rules:
+            if head is None:
                 binding = {l.name: sub}
-            else:
-                binding = {}
-                if not _match_state(l, sub, binding):
-                    continue
+            elif head != ctor or ground and any(args[i] is not a for i, a in ground):
+                continue
+            elif not _match_state(l, sub, binding := {}):
+                continue
             nb_size = rest + nodes
             for v in occurrences:
                 nb_size += size[id(binding[v])]
@@ -270,17 +291,16 @@ def _neighbors(t: Term, directed, cap: int, states: _States) -> Iterator[Term]:
             chain = up
             while chain is not None:
                 parent, i, chain = chain
-                args = parent.args
-                nb = node(parent.ctor, (*args[:i], nb, *args[i + 1:]))
+                kids = parent.args
+                nb = node(parent.ctor, (*kids[:i], nb, *kids[i + 1:]))
             yield nb
-        if type(sub) is App:
-            for i in range(len(sub.args) - 1, -1, -1):
-                stack.append((sub.args[i], (sub, i, up)))
+        for i in range(len(args) - 1, -1, -1):
+            stack.append((args[i], (sub, i, up)))
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+    def __init__(self, parent: dict):
+        self.parent = parent
 
     def find(self, x):
         parent = self.parent
@@ -290,11 +310,6 @@ class _UnionFind:
         while x is not root:  # path compression
             parent[x], x = root, parent[x]
         return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            self.parent[ra] = rb
 
 
 def closure_classes(
@@ -308,37 +323,51 @@ def closure_classes(
 
     The search works on interned states (_States, a HashConsTable that also
     stores sizes): equal terms are one object, so the seen set and the
-    union-find compare by identity, and a neighbour's size is known from
-    stored sizes before it is built.  A new seed whose arguments are states
+    union-find run on identities and hash no term, and a neighbour's size is
+    known from stored sizes before it is built.  _neighbors drops per state
+    the rules that would grow it past the cap and per subterm those whose
+    head or ground arguments differ.  A new seed whose arguments are states
     becomes a state itself, so the caller's terms stay the union-find's
-    keys.  The states, their order and the classes are those of a search on
-    plain terms.  uf.find accepts any term equal to a state.
+    keys; the term-keyed union-find is built once at the end, every term
+    met (over-budget neighbours too) in the order first met, mapped to its
+    class's root.  The states, their order and the classes are those of a
+    search on plain terms.  uf.find accepts any term equal to a state.
     """
     bud = budget or ClosureBudget()
     states = _States()
     directed = [states.rule(l, r) for l, r in _directed(eqs)]
     # seed order, not set order: a truncated search must not depend on hashing
-    queue = deque({id(s): s for s in map(states.canonical, seeds)}.values())
+    met = {id(s): s for s in map(states.canonical, seeds)}  # id -> term, in the order first met
+    queue = deque(met.values())
     size = states.size
     cap = bud.max_term_size or max((size[id(s)] for s in queue), default=1) + 4
-    uf = _UnionFind()
-    for s in queue:
-        uf.find(s)
-    seen = {id(s) for s in queue}
-    states_left = bud.max_steps - len(seen)
+    parent = {i: i for i in met}  # the union-find, on identities
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    states_left = bud.max_steps - len(met)
     truncated = False
     while queue:
         s = queue.popleft()
+        root = find(id(s))  # s's root, kept as the unions below move it
         for nb in _neighbors(s, directed, cap, states):
-            uf.union(s, nb)
-            if id(nb) not in seen:
+            i = id(nb)
+            if i in met:
+                other = find(i)
+                if other != root:
+                    parent[root] = root = other
+            else:  # a new term: its own class, which s's class joins
+                met[i] = nb
+                parent[i] = parent[root] = root = i
                 if states_left <= 0:
                     truncated = True
                     continue
                 states_left -= 1
-                seen.add(id(nb))
                 queue.append(nb)
-    return uf, truncated
+    return _UnionFind({t: met[find(i)] for i, t in met.items()}), truncated
 
 
 def closure_equal(

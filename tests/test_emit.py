@@ -280,6 +280,28 @@ def test_generated_compare_walks_deep_chains_without_recursion():
     assert gen_compare(index, ("P", a, c), ("P", b, b)) == 1
 
 
+def test_generated_normalize_folds_deep_terms_without_recursion():
+    """P(S^100000(L), S^100000(L)) under the default recursion limit; the
+    value is read with the module's own compare.  Non-tuples pass through,
+    a nullary free tuple stays itself, and a wrong arity is a ValueError."""
+    sig, spec = parse_definition("type t = L | S(t) | P(t, t)\nwith P: associative, commutative")
+    ns = exec_module(compile_family(sig, spec))
+    gen_normalize, gen_compare, index = ns["normalize"], ns["compare"], ns["CTOR_INDEX"]
+    leaf = ("L",)
+    for _ in range(100_000):
+        leaf = ("S", leaf)
+    value = gen_normalize(("P", leaf, leaf))
+    assert value[0] == "P" and len(value) == 3
+    assert gen_compare(index, value[1], leaf) == 0 and gen_compare(index, value[2], leaf) == 0
+    assert gen_normalize(7) == 7 and gen_normalize("s") == "s"
+    constant = ("L",)
+    assert gen_normalize(constant) is constant
+    for bad, message in [(("P", ("L",)), "P expects 2"), (("S", ("L",), ("L",)), "S expects 1"),
+                         (("S", ("L", ("L",))), "L expects 0")]:
+        with pytest.raises(ValueError, match=message):
+            gen_normalize(bad)
+
+
 def test_generated_modules_for_deep_rules_compile_and_agree_with_the_library():
     """A 600-deep right-hand side and a 1,500-deep left-hand side nest deeper
     than Python's parser accepts in one expression; every 100th level is a

@@ -356,6 +356,36 @@ def test_interned_closure_matches_the_reference_with_int_constants(steps):
     assert uf.find(int_rule_seeds()[0]) is uf.find(A)
 
 
+# Rule shapes the search's filters reason about: a rule that drops a
+# variable (a step may shrink a state by any amount), a non-linear left side
+# (its forward step has no least growth either) and a constant argument
+# beside a nested pattern.  Seeded with the terms of one size and their
+# values, each search reaches smaller terms as new states.
+SHAPE_RULES = {
+    "drop": "type t = E | S(t) | G(t, t)\nrule G(x, y) -> x\n",
+    "nonlinear": "type t = E | S(t) | F(t, t)\nrule F(x, x) -> x\n",
+    "nested": "type t = E | S(t) | H(t, t)\nrule H(S(x), E) -> x\n",
+}
+
+
+# 60 steps truncate each search and 1,000 none; a size cap of 4 lies below
+# the seeds, so only steps that shrink a state stay within it
+@pytest.mark.parametrize("steps,cap,cut", [(60, None, True), (1_000, None, False), (1_000, 4, False)])
+@pytest.mark.parametrize("shape", sorted(SHAPE_RULES))
+def test_interned_closure_matches_the_reference_on_rule_shapes(shape, steps, cap, cut):
+    sig, spec = parse_definition(SHAPE_RULES[shape])
+    fam = compile_family(sig, spec)
+    ts = [t for t in enumerate_ground(sig, sig.rdt_sort, 7) if size(t) == 7]
+    seeds = list(dict.fromkeys([*ts, *(normalize(t, fam) for t in ts)]))
+    eqs = equations_of(spec, sig)
+    budget = ClosureBudget(max_steps=steps, max_term_size=cap)
+    uf, truncated = closure_classes(eqs, seeds, budget)
+    ref, ref_truncated = reference_closure_classes(eqs, seeds, budget)
+    assert truncated == ref_truncated == cut
+    assert list(uf.parent) == list(ref.parent)  # the same states, in order
+    assert partition(uf) == partition(ref)
+
+
 def test_closure_compares_states_by_identity(monkeypatch):
     """Equal states are one object, so the search never compares two terms
     node by node.  Before interning, this closure made 53,159 App.__eq__
@@ -377,6 +407,35 @@ def test_closure_compares_states_by_identity(monkeypatch):
     monkeypatch.undo()
     assert not truncated and len(uf.parent) == 461
     assert calls <= len(seeds), calls
+
+
+def test_closure_hashes_no_term_and_matches_only_where_a_rule_can_fire(monkeypatch):
+    """The union-find runs on identities, and a rule is matched only at a
+    subterm of its head and ground arguments, in a state its least growth
+    keeps within the cap.  A term-keyed union-find that tried every rule
+    everywhere made 28,656 App.__hash__ and 7,790 _match_state calls here."""
+    sig, spec, _ = load("neu_rules")
+    seeds = validation_seeds("neu_rules", 6)
+    calls = Counter()
+    app_hash, match_state = App.__hash__, oracle._match_state
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return app_hash(self)
+
+    def counting_match(*args):
+        calls["match"] += 1
+        return match_state(*args)
+
+    monkeypatch.setattr(App, "__hash__", counting_hash)
+    monkeypatch.setattr(oracle, "_match_state", counting_match)
+    uf, truncated = closure_classes(
+        equations_of(spec, sig), seeds, ClosureBudget(max_steps=40_000)
+    )
+    monkeypatch.undo()
+    assert not truncated and len(uf.parent) == 461
+    assert calls["hash"] <= 4 * len(uf.parent), calls
+    assert calls["match"] <= 4 * len(uf.parent), calls
 
 
 # --- redex search ----------------------------------------------------------------
