@@ -15,9 +15,10 @@ Two oracles:
   answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
   a HashConsTable local to the call, so equal terms are one object: states
   are compared and looked up by identity, the union-find runs on
-  identities, and each size is stored, not measured.  A rule is tried only
-  where it can fire: in a state its least growth keeps within the size
-  cap, at a subterm of its head constructor and ground arguments.
+  identities, and each size is stored, not measured.  Each interned term's
+  one-step neighbours are built once, from its arguments' lists, and a rule
+  is tried only where it can fire: at a term its least growth keeps within
+  the size cap, of its head constructor and ground arguments.
 
 The redex search matches rule left-hand sides modulo AC by one depth-first
 search over an explicit stack of states, so neither a pattern's depth nor
@@ -205,14 +206,16 @@ class _States(HashConsTable):
     """The hash-consing table of one closure search: one object per term.
 
     Equal terms are one object, so the search compares them with `is`.  On
-    top of the table it stores each term's size, accepts variables (rule
-    sides are interned) and checks no sorts: states are well sorted by
-    construction.
+    top of the table it stores each term's size and, per size cap, each
+    term's one-step neighbours (steps, filled by _neighbors), accepts
+    variables (rule sides are interned) and checks no sorts: states are
+    well sorted by construction.
     """
 
     def __init__(self):
         super().__init__(None)
         self.size: dict[int, int] = {}  # id of an interned term -> node count
+        self.steps: dict[int, dict[int, list]] = {}  # cap -> id of a term -> its neighbours
 
     def _admit(self, u: Term) -> None:
         size = self.size
@@ -259,43 +262,58 @@ def _match_state(p: Term, t: Term, binding: dict[str, Term]) -> bool:
     return True
 
 
-def _neighbors(t: Term, directed, cap: int, states: _States) -> Iterator[Term]:
+def _neighbors(t: Term, directed, cap: int, states: _States) -> list[Term]:
     """The terms one directed step from t with at most cap nodes, by
     position in preorder, then by rule.  t and the neighbours are interned
-    in states, and directed comes from states.rule.  A rule is tried only
-    where it can fire: not at all when even its least growth would take t
-    past cap, and at a subterm only if the head and the ground arguments
-    agree, which on interned terms is one comparison each."""
+    in states, and directed comes from states.rule, the same list at every
+    call on one states.
+
+    Each interned term's list N is built once per cap and kept in
+    states.steps, children first over an explicit stack, so a subterm shared
+    by many states is rewritten once.  N(u) holds u's own root steps, then
+    for each argument in order the entries of its N that still fit once
+    lifted into u.  A step only grows as it is lifted, so dropping it at an
+    inner level is the check a search from the top makes on the whole term.
+    A rule is tried at u only where it can fire: not at all when even its
+    least growth would take u past cap, and only if the head and the ground
+    arguments agree, which on interned terms is one comparison each."""
+    steps = states.steps.setdefault(cap, {})
     size, node = states.size, states.node
-    fits = cap - size[id(t)]
-    rules = [rule for rule in directed if rule[-1] <= fits]  # rule[-1]: its least growth
-    # a subterm with its ancestors: (parent, argument index, parent's chain)
-    stack: list = [(t, None)]
+    stack = [t]
     while stack:
-        sub, up = stack.pop()
-        rest = size[id(t)] - size[id(sub)]
-        ctor, args = (sub.ctor, sub.args) if type(sub) is App else (None, ())
-        for l, r, nodes, occurrences, head, ground, _ in rules:
+        u = stack[-1]
+        if id(u) in steps:
+            stack.pop()
+            continue
+        ctor, args = (u.ctor, u.args) if type(u) is App else (None, ())
+        missing = [a for a in args if id(a) not in steps]
+        if missing:  # u stays below its arguments and is built after them
+            stack += missing
+            continue
+        stack.pop()
+        fits = cap - size[id(u)]
+        out = []
+        for l, r, nodes, occurrences, head, ground, growth in directed:
+            if growth > fits:
+                continue
             if head is None:
-                binding = {l.name: sub}
+                binding = {l.name: u}
             elif head != ctor or ground and any(args[i] is not a for i, a in ground):
                 continue
-            elif not _match_state(l, sub, binding := {}):
+            elif not _match_state(l, u, binding := {}):
                 continue
-            nb_size = rest + nodes
+            nb_size = nodes
             for v in occurrences:
                 nb_size += size[id(binding[v])]
-            if nb_size > cap:
-                continue
-            nb = binding[r.name] if type(r) is Var else states.instance(r, binding)
-            chain = up
-            while chain is not None:
-                parent, i, chain = chain
-                kids = parent.args
-                nb = node(parent.ctor, (*kids[:i], nb, *kids[i + 1:]))
-            yield nb
-        for i in range(len(args) - 1, -1, -1):
-            stack.append((args[i], (sub, i, up)))
+            if nb_size <= cap:
+                out.append(binding[r.name] if type(r) is Var else states.instance(r, binding))
+        for i, a in enumerate(args):
+            room = fits + size[id(a)]  # the nodes a lifted step may have
+            for nb in steps[id(a)]:
+                if size[id(nb)] <= room:
+                    out.append(node(ctor, (*args[:i], nb, *args[i + 1:])))
+        steps[id(u)] = out
+    return steps[id(t)]
 
 
 class _UnionFind:
@@ -324,9 +342,11 @@ def closure_classes(
     The search works on interned states (_States, a HashConsTable that also
     stores sizes): equal terms are one object, so the seen set and the
     union-find run on identities and hash no term, and a neighbour's size is
-    known from stored sizes before it is built.  _neighbors drops per state
-    the rules that would grow it past the cap and per subterm those whose
-    head or ground arguments differ.  A new seed whose arguments are states
+    known from stored sizes before it is built.  _neighbors builds each
+    interned term's neighbours once, from its arguments' lists, so a subterm
+    that many states share is rewritten once, and it drops at each term the
+    rules that would grow it past the cap and those whose head or ground
+    arguments differ.  A new seed whose arguments are states
     becomes a state itself, so the caller's terms stay the union-find's
     keys; the term-keyed union-find is built once at the end, every term
     met (over-budget neighbours too) in the order first met, mapped to its
