@@ -26,11 +26,13 @@ idempotence or cancelling them to the absorber under nilpotence.  delete
 removes one occurrence of a leaf, exploiting sortedness for early failure;
 insert_inv tries delete first and only then inserts the re-inverted leaf.
 The inverse function f_I pushes inversion to the leaves, reversing the
-comb.  merge, insert, delete and f_I walk a spine in a loop, so they cap no
-comb's length at Python's recursion limit.  merge, insert, delete and the
-group match keep the leaf (or pair of leaves) they compared last and that
-result: compare is a pure total order, so a run of one shared leaf object
-costs one comparison, not one per leaf.
+comb.  insert and delete find a leaf's place by one walk, _seek, and
+insert, delete and merge put the leaves they passed back by one rebuild,
+_rebuild.  These, merge's walk and f_I are loops, so they cap no comb's
+length at Python's recursion limit.  _seek, merge and the group match keep
+the leaf (or pair of leaves) they compared last and that result: compare
+is a pure total order, so a run of one shared leaf object costs one
+comparison, not one per leaf.
 
 The scheme above is written for right combs, whose exposed leaf is the first
 argument.  Both orientations run the same code through one view,
@@ -40,7 +42,7 @@ order, and turns compare around so that a left comb keeps its largest leaf
 exposed.  acnf.comb_sign derives it from the orientation, for this module
 and the AC-normal form checks alike.
 
-The AC functions, from _construct_ac to inverse_cf, are the only copy of
+The AC functions, from _construct_ac to _rebuild, are the only copy of
 the scheme, and _construct_entry, _match and _eval_rhs are the only copy of
 the dispatch on entry kinds and of the clause matcher: emit_code prints
 both blocks verbatim into generated modules (the AC block only when the
@@ -389,18 +391,11 @@ def _merge(ctor, entry, u, v, fam):
         if tail is not None:
             taken.append(tail)
         taken = _cancel_inverses(fam, entry, taken)
-        if not taken:
-            return entry.unit
         tail = None
-    if tail is None:
-        if not taken:
-            return entry.absorber
-        tail = taken.pop()
-    while taken:
-        tail = _make(ctor, (taken.pop(), tail)[::s])
-    if cancelled:
-        return construct(ctor, (entry.absorber, tail)[::s], fam)
-    return tail
+    tail = _rebuild(ctor, s, taken, tail)
+    if tail is None:  # every leaf cancelled
+        return entry.absorber if entry.inverse is None else entry.unit
+    return construct(ctor, (entry.absorber, tail)[::s], fam) if cancelled else tail
 
 
 def _cancel_inverses(fam, entry, leaves):
@@ -448,88 +443,49 @@ def _cancel_inverses(fam, entry, leaves):
 def insert(ctor, x, u, fam, table=None):
     """Place leaf x into value u, keeping leaves sorted; x is not C-headed.
 
-    One loop walks down the spine to the first leaf not smaller than x;
-    the leaves passed on the way are then rebuilt around the part that
-    takes x.  An equal leaf there collapses with x under idempotence.
-    Under nilpotence the two cancel: x is not placed, the equal leaf is
-    dropped, and the absorber re-enters the remaining comb through the
-    construction function (it is an ordinary leaf with its own ordered
-    position, and may itself cancel against an absorber already present).
-    The walk keeps the leaf it compared last and that result, and while the
-    exposed leaf is that same object (a run of one shared leaf) it reuses
-    the result, so the run costs one comparison.
+    _seek walks down the spine to the first leaf not smaller than x, and
+    the leaves it passed are rebuilt around the part that takes x.  An
+    equal leaf there collapses with x under idempotence.  Under nilpotence
+    the two cancel: x is not placed, the equal leaf is dropped, and the
+    absorber re-enters the remaining comb through the construction function
+    (it is an ordinary leaf with its own ordered position, and may itself
+    cancel against an absorber already present).
     """
     entry = fam.entries[ctor]
-    sig = fam.sig
     s = entry.sign
-    passed = []
-    last = None  # the leaf compared last; c is its result
-    while True:
-        y, r = _split(u, s) if _ctor(u) == ctor else (u, None)  # exposed leaf, rest
-        if y is not last:
-            c = s * compare(sig, x, y)
-            last = y
-        if c == 0 and entry.nil:  # x and y cancel to the absorber
-            if r is None:  # y was the innermost leaf
-                if not passed:
-                    return entry.absorber
-                r = passed.pop()
-            while passed:
-                r = _make(ctor, (passed.pop(), r)[::s])
-            return construct(ctor, (entry.absorber, r)[::s], fam, table)
-        if c <= 0:
-            if c < 0 or not entry.idem:
-                u = _make(ctor, (x, u)[::s])
-            break
-        if r is None:
-            u = _make(ctor, (y, x)[::s])
-            break
-        passed.append(y)
-        u = r
-    while passed:
-        u = _make(ctor, (passed.pop(), u)[::s])
-    return u
+    passed, u, y, r, c = _seek(ctor, s, x, u, fam)
+    if c == 0 and entry.nil:  # x and y cancel to the absorber
+        r = _rebuild(ctor, s, passed, r)  # None when y was the only leaf
+        return entry.absorber if r is None else construct(ctor, (entry.absorber, r)[::s], fam, table)
+    if c > 0:  # x goes below the innermost leaf y
+        u = _make(ctor, (y, x)[::s])
+    elif c < 0 or not entry.idem:
+        u = _make(ctor, (x, u)[::s])
+    return _rebuild(ctor, s, passed, u)
 
 
 def delete(ctor, x, u, fam):
     """Remove one occurrence of leaf x from value u; None when x does not occur.
 
-    Sortedness gives the early exit: once the exposed leaf passes x, x
-    cannot occur further in.  As in insert, a run of one shared leaf costs
-    one comparison.  Removing one leaf of a sorted comb keeps the rest
-    sorted, so the result is canonical whenever u was.  Cancelling the last
-    remaining leaf yields the neutral element (the empty sum), and raises
-    TheoryError when C has none, since there is no value to return;
-    removing a leaf from deeper inside a comb yields the smaller comb
-    itself, never a spine with the unit wrapped in.
+    Sortedness gives the early exit: _seek stops at the first leaf not
+    smaller than x, and x cannot occur further in.  Removing one leaf of a
+    sorted comb keeps the rest sorted, so the result is canonical whenever
+    u was.  Cancelling the last remaining leaf yields the neutral element
+    (the empty sum), and raises TheoryError when C has none, since there is
+    no value to return; removing a leaf from deeper inside a comb yields the
+    smaller comb itself, never a spine with the unit wrapped in.
     """
-    sig = fam.sig
-    s = fam.entries[ctor].sign
-    passed = []
-    last = None  # the leaf compared last; c is its result
-    while True:
-        y, r = _split(u, s) if _ctor(u) == ctor else (u, None)  # exposed leaf, rest
-        if y is not last:
-            c = s * compare(sig, x, y)
-            last = y
-        if c == 0:
-            break
-        if c < 0 or r is None:
-            return None
-        passed.append(y)
-        u = r
-    if r is None:  # y was the innermost leaf
-        if not passed:
-            unit = fam.entries[ctor].unit
-            if unit is None:
-                raise TheoryError(
-                    f"{ctor!r} has no neutral element: deleting the only leaf leaves no value"
-                )
-            return unit
-        r = passed.pop()
-    while passed:
-        r = _make(ctor, (passed.pop(), r)[::s])
-    return r
+    entry = fam.entries[ctor]
+    s = entry.sign
+    passed, _, _, r, c = _seek(ctor, s, x, u, fam)
+    if c != 0:
+        return None
+    u = _rebuild(ctor, s, passed, r)
+    if u is None and entry.unit is None:  # x was the only leaf
+        raise TheoryError(
+            f"{ctor!r} has no neutral element: deleting the only leaf leaves no value"
+        )
+    return entry.unit if u is None else u
 
 
 def insert_inv(ctor, x_inv, y, fam, table=None):
@@ -571,6 +527,44 @@ def inverse_cf(inv_ctor, v, fam, table=None):
         else:
             done.append(inverse_cf(inv_ctor, u, fam, table))
     return done[0]
+
+
+def _seek(ctor, s, x, u, fam):
+    """Walk down comb u past the leaves that go before leaf x (sign s).
+
+    Returns the leaves passed, outermost first; the rest of u; the rest's
+    exposed leaf y; what lies below y (None when y is the innermost leaf);
+    and c = s * compare(x, y), so c <= 0 unless y is the innermost leaf.
+    compare is a pure total order, so the walk keeps the leaf it compared
+    last and that result, and while the exposed leaf is that same object
+    (a run of one shared leaf) it reuses the result: the run costs one
+    comparison.
+    """
+    sig = fam.sig
+    passed = []
+    last = None  # the leaf compared last; c is its result
+    while True:
+        y, r = _split(u, s) if _ctor(u) == ctor else (u, None)
+        if y is not last:
+            c = s * compare(sig, x, y)
+            last = y
+        if c <= 0 or r is None:
+            return passed, u, y, r, c
+        passed.append(y)
+        u = r
+
+
+def _rebuild(ctor, s, passed, rest):
+    """Put the passed leaves back over rest, the last one innermost, and
+    empty passed.  With rest None, the last passed leaf is the innermost
+    leaf; None when no leaf is left."""
+    if rest is None:
+        if not passed:
+            return None
+        rest = passed.pop()
+    while passed:
+        rest = _make(ctor, (passed.pop(), rest)[::s])
+    return rest
 # --- end shared AC block ---
 
 

@@ -9,8 +9,9 @@ Two oracles:
   leaf is read by its key, so layered theories compose: one keyed as the
   unit drops out, one keyed as a sum of the same theory adds its items.
   One explicit stack holds the spines and the constructors outside them,
-  so neither a sum's length nor a term's depth costs recursion, and equal
-  keys of one call are one object, so deep keys compare by identity;
+  so neither a sum's length nor a term's depth costs recursion.  Equal
+  keys of one call are one object, so deep keys compare by identity, and
+  a key's hash is taken once, when it is made, so no hash walks a key;
 * a bounded closure of the equations, a sound semi-decision procedure that
   answers YES or UNKNOWN, never NO.  Its search hash-conses every state in
   a HashConsTable local to the call, so equal terms are one object: states
@@ -87,17 +88,31 @@ def semantic_key(cl: Classification, sig: Signature, t: Term):
     return _keys(cl, t)[0]
 
 
+class _Key(tuple):
+    """The key of a node with arguments or of a sum: equal to the plain tuple
+    of its items and hashed like it, but its hash is taken once, when it is
+    made, from its items' hashes (a key item's is cached already).  So
+    hashing a key nested as deep as its term never walks it; CPython's
+    tuple hash would recurse in C with no guard.  A constant's and a
+    primitive's key is a plain tuple: its hash is shallow, and taken in C."""
+
+    def __init__(self, items):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
+
+
 def _keys(cl: Classification, *terms: Term) -> list:
     """The keys of terms, by one loop over an explicit stack on which a spine's
     children are its leaves.  Equal keys are one object, so two deep keys
     compare by identity, not by a deep walk: an App met again reuses its key,
-    and a new key is filed by its constructor and the identities of its
-    children's keys (hashing the key would walk it), a primitive's and a
-    sum's by itself.  The absorber item a nilpotent sum gains may be a copy,
-    but it is a constant."""
+    and a new key is filed by itself: its hash is cached (a _Key) or shallow,
+    and its items are filed keys, which compare by identity.  The absorber
+    item a nilpotent sum gains may be a copy, but it is a constant."""
     keys: list = []  # keys of the finished subterms, leftmost first
     known: dict[int, tuple] = {}  # id of a keyed App -> its key
-    filed: dict[tuple, tuple] = {}  # what a key is filed by -> the one key object
+    filed: dict[tuple, tuple] = {}  # a key -> the one key object equal to it
     todo: list = list(terms[::-1])  # terms still to key, and (App, theory, n, signs) steps
     while todo:
         u = todo.pop()
@@ -105,8 +120,8 @@ def _keys(cl: Classification, *terms: Term) -> list:
             u, th, n, signs = u
             kids = keys[len(keys) - n:]
             del keys[len(keys) - n:]
-            key = ("f", u.ctor, tuple(kids)) if th is None else _theory_key(th, kids, signs)
-            known[id(u)] = key = filed.setdefault((key[1], *map(id, key[2])) if key[0] == "f" else key, key)
+            key = _Key(("f", u.ctor, tuple(kids))) if th is None else _theory_key(th, kids, signs)
+            known[id(u)] = key = filed.setdefault(key, key)
             keys.append(key)
         elif isinstance(u, Var):
             raise OracleError("interpretation of non-ground term")
@@ -115,7 +130,7 @@ def _keys(cl: Classification, *terms: Term) -> list:
         elif u.ctor in cl.type1:
             raise OracleError(f"no algebraic interpretation for rule-defined constructor {u.ctor!r}")
         elif not u.args:  # a constant, the unit and the absorber among them
-            keys.append(filed.setdefault((u.ctor,), ("f", u.ctor, ())))
+            keys.append(filed.setdefault(key := ("f", u.ctor, ()), key))
         elif id(u) in known:
             keys.append(known[id(u)])
         else:  # a free node, or th's spine: its leaves, each with a sign
@@ -164,7 +179,7 @@ def _theory_key(th: Type2Theory, keys: list, signs: list[int]):
         (k, n), = bag.items()
         if n == 1:
             return k  # a single leaf stands for itself
-    return (tag, th.ctor, frozenset(bag.items()))
+    return _Key((tag, th.ctor, frozenset(bag.items())))
 
 
 def algebraic_equal(cl: Classification, sig: Signature, t: Term, u: Term) -> bool:
@@ -321,13 +336,7 @@ class _UnionFind:
         self.parent = parent
 
     def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] is not root:
-            root = parent[root]
-        while x is not root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
+        return self.parent.setdefault(x, x)  # parent maps every term to its root
 
 
 def closure_classes(

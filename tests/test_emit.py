@@ -185,6 +185,8 @@ SHARED = [
     builder.delete,
     builder.insert_inv,
     builder.inverse_cf,
+    builder._seek,
+    builder._rebuild,
 ]
 
 

@@ -1209,6 +1209,33 @@ def test_semantic_key_walks_deep_free_terms_without_recursion():
     assert not shallow(algebraic_equal, t, parse_ground_term(f"P({leaf}, L)", sig))
 
 
+def test_semantic_key_of_a_sum_of_a_100000_deep_leaf_returns():
+    """Under syn_ac, P(S^100000(L), L) gets its key, and it is algebraically
+    equal to P(L, S^100000(L)).  The sum's multiset hashes the leaf's key,
+    nested 100,000 deep: were that hash to walk the key, CPython's tuple
+    hash would recurse in C with no guard and end the process with a
+    segmentation fault, so the check runs in a subprocess."""
+    code = (
+        "import pathlib, sys\n"
+        "from canonform import App, algebraic_equal, classify, parse_definition, semantic_key\n"
+        "sig, spec = parse_definition(pathlib.Path(sys.argv[1]).read_text())\n"
+        "cl = classify(spec, sig)\n"
+        "leaf = L = App('L')\n"
+        "for _ in range(100000):\n"
+        "    leaf = App('S', (leaf,))\n"
+        "key = semantic_key(cl, sig, App('P', (leaf, L)))\n"
+        "assert key[:2] == ('ac', 'P'), key[:2]\n"
+        "assert algebraic_equal(cl, sig, App('P', (leaf, L)), App('P', (L, leaf)))\n"
+    )
+    src = str(pathlib.Path(canonform.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SYN_DEFS / "syn_ac.rdt")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+
 def recursive_semantic_key(cl, t):
     """semantic_key as a recursive reading, as it was before one loop read
     the whole term: the reference for the keys themselves."""
