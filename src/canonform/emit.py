@@ -129,7 +129,8 @@ def _tuple_code(items: list[str]) -> str:
 # The generated module: a tuple-world prelude, then the builder's own engine
 # and AC functions.  Terms are tuples, so the names through which those
 # functions touch terms get tuple versions here, compare takes CTOR_INDEX as
-# its signature and walks both terms in one loop like terms.compare, and
+# its signature and walks both terms in one loop like terms.compare (one
+# object is equal to itself, and only differing names are looked up), and
 # entries, clauses and pattern variables are attribute records like the
 # builder's.  The f_X functions and normalize call _construct_entry
 # directly, so a node costs no call more than the engine's own; construct,
@@ -180,14 +181,16 @@ def _make(C, args):
 def compare(sig, t, u):
     pending = []  # argument pairs still to compare, the next one last
     while True:
-        if type(t) is not tuple or type(u) is not tuple:
+        if t is u:  # one object: equal, with nothing below to walk
+            pass
+        elif type(t) is not tuple or type(u) is not tuple:
             # constants sort first, integers before strings
             a, b = (type(t) is tuple, type(t) is str, t), (type(u) is tuple, type(u) is str, u)
             if a != b:
                 return (a > b) - (a < b)
         else:
-            a, b = sig[t[0]], sig[u[0]]
-            if a != b:
+            if t[0] != u[0]:  # only differing names need their indices
+                a, b = sig[t[0]], sig[u[0]]
                 return (a > b) - (a < b)
             n = len(t)
             if n != len(u):

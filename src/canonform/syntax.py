@@ -14,27 +14,36 @@ Constructor names start with an uppercase letter, variables (in rules) with a
 lowercase one.  `#` starts a comment that runs to the end of the line.
 Whitespace is otherwise insignificant.
 
-Tokens are plain strings: one `findall` cuts the text into tokens and
-single unexpected characters, with an empty string for each run of
-whitespace or a comment, and the empty strings are dropped; a token's kind
-is read from its first character, and an empty string ends the list.
-Offsets are never stored.  Every diagnostic names the index of the token it
-is about, and one cold function (_fail) rescans the text to turn that index
-into a line and column; an unexpected character anywhere in the text is
-reported first, whatever the parser tripped over.  One term parser serves
+A term is read one comma-free run at a time: one match of a compiled regex
+(_RUN) returns the constructors a run opens, its atom (a constant, a
+variable, an integer or a string) and the applications it closes, so the
+Python loop does only the per-node work.  One term parser (_term) serves
 ground terms and both sides of a rule.  It keeps an explicit stack, so
 nesting depth is bounded by memory, not by the recursion limit, and it
 checks constructor names, arities and sorts as it builds each node.  Equal
 subterms of one term are one object: a node is looked up by its
 constructor and the identities of its arguments (HashConsTable's key, with
-no table and no check), so a repeated subterm builds nothing.  A sort error
-does not stop it: the first one in preorder is raised, at the term's (or
-rule's) first token, once the term has parsed, so syntax errors win.
+no table and no check), so a repeated subterm builds nothing.  A unary
+chain that a run closes around a constant, an integer or a string, such as
+a leaf S(S(S(L))), is also filed by its constructor names and its atom, so
+an equal chain met again in the same term costs one lookup.  A sort error
+does not stop the parser: the first one in preorder is raised, at the
+term's (or rule's) first token, once the term has parsed, so syntax errors
+win.
+
+The rest of a definition is read token by token: one `findall` cuts the
+text into tokens and single unexpected characters, and the tokens' offsets
+are found only when a rule side or a diagnostic needs them.  Every
+diagnostic names the offset it is about, and one cold function (_fail)
+turns it into a line and column; an unexpected character anywhere in the
+text is reported first, whatever the parser tripped over.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from functools import cached_property
 from typing import Optional
 
 from .errors import ParseError
@@ -69,6 +78,31 @@ _LEXEME = r"""
 # that fits nowhere and reported by _fail.
 _TOKEN = re.compile(f"{_SKIP} | ({_LEXEME} | .)", re.VERBOSE)
 _IS_LEXEME = re.compile(f"{_SKIP} | {_LEXEME}", re.VERBOSE).fullmatch
+# The gap between two tokens of a term.  A comment runs to the end of its
+# line, so a gap splits into whitespace and comments one way only: a run
+# that fails after a gap backtracks through it in linear time.  Whitespace
+# and closing parentheses are single-character repeats, which the regex
+# engine walks with no backtracking state per character.
+_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
+_SKIP_GAP = re.compile(_GAP).match
+# One comma-free run of a term: the constructors it opens, its atom, the
+# applications it closes and the comma after them, each with the gap after
+# it.  A run starts at a token.  The engine keeps state for each opening
+# until the match ends, so one match takes at most 1,000; past them, or when
+# no atom follows the last one, the match ends with a constructor name
+# before its "(", which _term reads as one more opening.
+_RUN = re.compile(
+    rf"""
+    ((?:[A-Z][A-Za-z0-9_]*{_GAP}\({_GAP}){{0,1000}})  # 1: the openings
+    (?:([A-Za-z_][A-Za-z0-9_]*)                      # 2: a name,
+      |(-?\d+)                                       # 3: an integer
+      |("(?:[^"\\]|\\.)*"))                          # 4: or a string
+    ([)\s]*(?:\#[^\n]*(?![^\n])[)\s]*)*)             # 5: the closings
+    (,{_GAP})?                                       # 6: a comma
+    """,
+    re.VERBOSE,
+).match
+_COMMENTS = re.compile(r"\#[^\n]*").sub
 _ESCAPE = re.compile(r"\\(.)")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
@@ -87,27 +121,15 @@ _KEYWORDS = {
 }
 
 
-def _tokenize(text: str) -> list[str]:
-    """The tokens of text, unexpected characters included, then "" for the end."""
-    toks = list(filter(None, _TOKEN.findall(text)))
-    toks.append("")
-    return toks
-
-
-def _fail(text: str, index: int, message: str, code: str = "syntax") -> ParseError:
-    """The diagnostic for the index-th token of text (the end counting as the
-    last), unless text holds an unexpected character: then the diagnostic for
-    the first one.  The only place offsets and lines are computed."""
-    off, n = len(text), 0
+def _fail(text: str, off: int, message: str, code: str = "syntax") -> ParseError:
+    """The diagnostic at character offset off of text, unless text holds an
+    unexpected character: then the diagnostic for the first one.  The only
+    place lines and columns are computed."""
     for m in _TOKEN.finditer(text):
         tok = m.group()
         if _IS_LEXEME(tok) is None:
             off, message, code = m.start(), f"unexpected character {tok!r}", "syntax"
             break
-        if m.group(1):
-            if n == index:
-                off = m.start()
-            n += 1
     line = text.count("\n", 0, off) + 1
     return ParseError(message, line, off - text.rfind("\n", 0, off), code)
 
@@ -116,10 +138,10 @@ def _is_name(tok: str) -> bool:
     return tok[:1] in _IDENT_START
 
 
-def _unquote(s: str, text: str, index: int) -> str:
+def _unquote(s: str, text: str, off: int) -> str:
     def unescape(m: re.Match) -> str:
         if m.group(1) not in '"\\':
-            raise _fail(text, index, "bad string escape")
+            raise _fail(text, off, "bad string escape")
         return m.group(1)
 
     return _ESCAPE.sub(unescape, s[1:-1])
@@ -128,8 +150,18 @@ def _unquote(s: str, text: str, index: int) -> str:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
+        # the tokens, unexpected characters included, then "" for the end
+        self.toks = list(filter(None, _TOKEN.findall(text)))
+        self.toks.append("")
         self.pos = 0
+
+    @cached_property
+    def offs(self) -> list[int]:
+        """Each token's offset, then len(text); only diagnostics and rule
+        sides read them."""
+        offs = [m.start() for m in _TOKEN.finditer(self.text) if m.group(1)]
+        offs.append(len(self.text))
+        return offs
 
     @property
     def cur(self) -> str:
@@ -141,7 +173,7 @@ class _Parser:
 
     def fail(self, message: str, code: str = "syntax", at: Optional[int] = None):
         """Raise the diagnostic for token index at, the current token by default."""
-        raise _fail(self.text, self.pos if at is None else at, message, code)
+        raise _fail(self.text, self.offs[self.pos if at is None else at], message, code)
 
     def at(self, word: str) -> bool:
         """The current token is this keyword or punctuation (no other kind spells it)."""
@@ -159,10 +191,17 @@ class _Parser:
             self.fail(f"{self.cur!r} is a keyword, not a {what}")
         return self.bump()
 
+    def term(self, sig: Signature, env: dict[str, str]):
+        """Parse the rule side at the current token, as _term, and step past it."""
+        t, err, end = _term(self.text, self.offs[self.pos], sig, env)
+        self.pos = bisect_left(self.offs, end)
+        return t, err
 
-def _term(p: _Parser, sig: Signature, env: Optional[dict[str, str]]):
-    """Parse the term at p.pos with an explicit stack; return it and its first
-    sort error in preorder as (message, code), or None.
+
+def _term(text: str, pos: int, sig: Signature, env: Optional[dict[str, str]]):
+    """Parse the term at offset pos, a token's start, one comma-free run at a
+    time; return it, its first sort error in preorder as (message, code) or
+    None, and the offset of the token after it.
 
     env is None for a ground term; in a rule it holds each variable's sort and
     is shared by both sides.  Every node is checked when it is built.  A sort
@@ -172,98 +211,145 @@ def _term(p: _Parser, sig: Signature, env: Optional[dict[str, str]]):
     is None: whatever is recorded there is replaced or preceded by that
     ancestor's own error.  Equal constants, nullary constructors and nodes
     over the same argument objects come back as one object.
+
+    When a run's closings end its own innermost openings, those openings
+    form a unary chain around its atom.  A chain over a constant, an integer
+    or a string that built with no error is filed by its atom and its
+    constructor names, so an equal chain met again is one lookup: only its
+    root's expected sort is checked, and the preorder counter steps over its
+    nodes.  A variable is a new object at each occurrence, so a chain over
+    one is built each time.  When a match ends before a constructor's "("
+    (past the openings one match takes, or when no atom follows), the name
+    opens one more application and the next run starts after the "(".
     """
-    toks, i, text = p.toks, p.pos, p.text
     rdt = sig.rdt_sort
     arg_sorts = sig.arg_sorts
     stack = []  # open applications: (ctor, arg sorts or None, args, preorder index)
     shared = {}  # name, (sort, value) or (ctor, *argument ids) -> the one object built
+    chains = {}  # (atom, *ctors) of a chain built with no error -> its root
     err = None  # (preorder index, message, code)
     node = 0
     exp = rdt
     while True:
-        word = toks[i]
-        i += 1
-        c = word[:1]
-        if c in _IDENT_START:
-            if word in _KEYWORDS:
-                raise _fail(text, i - 1, f"{word!r} is a keyword, not a term")
+        m = _RUN(text, pos)
+        if m is None:
+            raise _fail(text, pos, "expected a term")
+        opens, name, num, string, closes, comma = m.groups()
+        if "#" in opens:
+            opens = _COMMENTS("", opens)
+        if "#" in closes:
+            closes = _COMMENTS("", closes)
+        ctors = "".join(opens.split()).split("(")
+        ctors.pop()  # the names, then "" after the last "("
+        shut = closes.count(")")
+        opening = (
+            not shut and comma is None and name and "A" <= name[0] <= "Z"
+            and text.startswith("(", m.end())
+        )
+        if opening:  # the match ended before this name's "(": it opens too
+            ctors.append(name)
+        k = len(ctors)
+        j = k if k < shut else shut  # the length of the chain the run closes
+        key = chain = None
+        if j and (name is None or "A" <= name[0] <= "Z"):  # not over a variable
+            key = (name or num or string, *ctors[k - j:])
+            chain = chains.get(key)
+        for ctor in ctors if chain is None else ctors[: k - j]:
+            sorts = arg_sorts.get(ctor)
+            if err is None:
+                if sorts is None:
+                    err = (node, f"unknown constructor {ctor!r}", "unknown-constructor")
+                elif exp != rdt:
+                    err = (node, f"{ctor!r} builds sort {rdt!r}, expected {exp!r}", "sort")
+            stack.append((ctor, sorts, [], node))
+            node += 1
+            exp = sorts[0] if sorts else None
+        if opening:
+            pos = _SKIP_GAP(text, m.end() + 1).end()
+            continue
+        left = shut  # the closings still to make
+        # the closings left once the chain is built, when it is to be filed
+        filed = shut - j if key is not None and chain is None else -1
+        if chain is not None:
+            if exp != rdt and err is None:
+                err = (node, f"{ctors[k - j]!r} builds sort {rdt!r}, expected {exp!r}", "sort")
+            t = chain
+            node += j + 1
+            left -= j
+        elif name is not None:
+            if name in _KEYWORDS:
+                raise _fail(text, m.start(2), f"{name!r} is a keyword, not a term")
+            c = name[0]
             if c.islower() or c == "_":
                 if env is None:
                     raise _fail(
-                        text, i - 1, f"variable {word!r} not allowed in a ground term",
+                        text, m.start(2), f"variable {name!r} not allowed in a ground term",
                         "variable-in-ground-term",
                     )
-                prior = env.setdefault(word, exp)
+                prior = env.setdefault(name, exp)
                 if prior != exp and err is None:
-                    err = (node, f"variable {word!r} used at sorts {prior!r} and {exp!r}", "sort")
-                t = Var(word, exp)
+                    err = (node, f"variable {name!r} used at sorts {prior!r} and {exp!r}", "sort")
+                t = Var(name, exp)
             else:
-                sorts = arg_sorts.get(word)
-                opens = toks[i] == "("
+                sorts = arg_sorts.get(name)
                 if err is None:
                     if sorts is None:
-                        err = (node, f"unknown constructor {word!r}", "unknown-constructor")
+                        err = (node, f"unknown constructor {name!r}", "unknown-constructor")
                     elif exp != rdt:
-                        err = (node, f"{word!r} builds sort {rdt!r}, expected {exp!r}", "sort")
-                    elif sorts and not opens:
-                        err = (node, f"{word!r} expects {len(sorts)} arguments, got 0", "arity")
-                if opens:
-                    stack.append((word, sorts, [], node))
-                    node += 1
-                    i += 1
-                    exp = sorts[0] if sorts else None
-                    continue
-                t = shared.get(word) or shared.setdefault(word, App(word))
-        elif c == '"' and len(word) > 1:
-            key = ("string", _unquote(word, text, i - 1))
-            t = shared.get(key) or shared.setdefault(key, Prim(*key))
-            if exp != "string" and err is None:
-                err = (node, f"{t} is not of sort {exp!r}", "sort")
-        elif c.isdecimal() or (c == "-" and word[1:2].isdecimal()):
-            try:
-                value = int(word)
-            except ValueError:  # past the interpreter's int-string limit
-                message = f"integer literal of {len(word) - (c == '-')} digits is too long"
-                raise _fail(text, i - 1, message) from None
-            key = ("int", value)
-            t = shared.get(key) or shared.setdefault(key, Prim(*key))
-            if exp != "int" and err is None:
-                err = (node, f"{t} is not of sort {exp!r}", "sort")
+                        err = (node, f"{name!r} builds sort {rdt!r}, expected {exp!r}", "sort")
+                    elif sorts:
+                        err = (node, f"{name!r} expects {len(sorts)} arguments, got 0", "arity")
+                t = shared.get(name) or shared.setdefault(name, App(name))
+            node += 1
         else:
-            raise _fail(text, i - 1, "expected a term")
-        node += 1
-        while stack:  # hand t to its parent, closing every application that ends here
-            ctor, sorts, args, idx = stack[-1]
+            if num is not None:
+                try:
+                    value = int(num)
+                except ValueError:  # past the interpreter's int-string limit
+                    message = f"integer literal of {len(num) - (num[0] == '-')} digits is too long"
+                    raise _fail(text, m.start(3), message) from None
+                prim = ("int", value)
+            else:
+                prim = ("string", _unquote(string, text, m.start(4)))
+            t = shared.get(prim) or shared.setdefault(prim, Prim(*prim))
+            if exp != prim[0] and err is None:
+                err = (node, f"{t} is not of sort {exp!r}", "sort")
+            node += 1
+        while left:  # close the applications that end in this run
+            if not stack:  # a ")" too many: the term ended before it
+                pos = m.start(5)
+                for _ in range(shut - left):  # step past a gap and its ")"
+                    pos = _SKIP_GAP(text, pos).end() + 1
+                return t, err and err[1:], _SKIP_GAP(text, pos).end()
+            ctor, sorts, args, idx = stack.pop()
             args.append(t)
-            word = toks[i]
-            if word == ",":
-                i += 1
-                exp = sorts[len(args)] if sorts and len(args) < len(sorts) else None
-                break
-            if word != ")":
-                raise _fail(text, i, "expected ')'")
-            i += 1
-            stack.pop()
             if sorts is not None and len(args) != len(sorts) and (err is None or err[0] > idx):
                 err = (idx, f"{ctor!r} expects {len(sorts)} arguments, got {len(args)}", "arity")
-            key = (ctor, *map(id, args))  # args are held by the node filed under key
-            t = shared.get(key)
+            at = (ctor, *map(id, args))  # args are held by the node filed under at
+            t = shared.get(at)
             if t is None:
-                t = shared[key] = App(ctor, tuple(args))
-        else:
-            p.pos = i
-            return t, err and err[1:]
+                t = shared[at] = App(ctor, tuple(args))
+            left -= 1
+            if left == filed and err is None:
+                chains[key] = t
+        if comma is None or not stack:
+            if stack:
+                raise _fail(text, m.end(), "expected ')'")
+            return t, err and err[1:], m.end() if comma is None else m.start(6)
+        ctor, sorts, args, idx = stack[-1]
+        args.append(t)
+        exp = sorts[len(args)] if sorts and len(args) < len(sorts) else None
+        pos = m.end()
 
 
 def parse_ground_term(text: str, sig: Signature) -> Term:
     """Parse one ground term of the data sort (as on the norm command line)."""
-    p = _Parser(text)
-    t, err = _term(p, sig, None)
-    if p.cur:
-        p.fail("trailing input after term")
+    start = _SKIP_GAP(text).end()
+    t, err, end = _term(text, start, sig, None)
+    if end < len(text):
+        raise _fail(text, end, "trailing input after term")
     if err:
-        p.fail(*err, at=0)
+        raise _fail(text, start, *err)
     return t
 
 
@@ -358,10 +444,10 @@ def parse_definition(text: str) -> tuple[Signature, TheorySpec]:
         p.bump()
         start = p.pos
         env: dict[str, str] = {}
-        lhs, lhs_err = _term(p, sig, env)
+        lhs, lhs_err = p.term(sig, env)
         lhs_vars = set(env)
         p.expect("->")
-        rhs, rhs_err = _term(p, sig, env)
+        rhs, rhs_err = p.term(sig, env)
         if not isinstance(lhs, App):
             p.fail("rule left-hand side must be headed by a constructor", "rule-lhs", start)
         if lhs_err or rhs_err:

@@ -7,9 +7,13 @@ Every diagnostic is pinned down to its rendered form
 from __future__ import annotations
 
 import pathlib
+import re
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canonform import (
     App,
@@ -26,6 +30,8 @@ from canonform import (
     parse_definition,
     parse_ground_term,
 )
+from canonform import syntax
+from canonform.syntax import _ESCAPE, _IDENT_START, _KEYWORDS, _LEXEME, _SKIP
 
 from conftest import FIXTURES
 
@@ -462,3 +468,429 @@ def test_deep_rule_sides_parse_without_recursion():
     ctors, bottom = spine(rule.lhs)
     assert ctors == ["N"] * n and bottom == Var("x", "t")
     assert rule.rhs == Var("x", "t")
+
+
+# --- the run scanner against the token loop it replaced -----------------------------
+#
+# The reference is the parser's earlier token loop, kept verbatim: one findall
+# cuts the text into tokens, and _term walks the list one token at a time.
+# Only the regexes and constants it shares with syntax.py are imported.
+
+_TOKEN = re.compile(f"{_SKIP} | ({_LEXEME} | .)", re.VERBOSE)
+_IS_LEXEME = re.compile(f"{_SKIP} | {_LEXEME}", re.VERBOSE).fullmatch
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, unexpected characters included, then "" for the end."""
+    toks = list(filter(None, _TOKEN.findall(text)))
+    toks.append("")
+    return toks
+
+
+def _fail(text: str, index: int, message: str, code: str = "syntax") -> ParseError:
+    """The diagnostic for the index-th token of text (the end counting as the
+    last), unless text holds an unexpected character: then the diagnostic for
+    the first one.  The only place offsets and lines are computed."""
+    off, n = len(text), 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if _IS_LEXEME(tok) is None:
+            off, message, code = m.start(), f"unexpected character {tok!r}", "syntax"
+            break
+        if m.group(1):
+            if n == index:
+                off = m.start()
+            n += 1
+    line = text.count("\n", 0, off) + 1
+    return ParseError(message, line, off - text.rfind("\n", 0, off), code)
+
+
+def _unquote(s: str, text: str, index: int) -> str:
+    def unescape(m: re.Match) -> str:
+        if m.group(1) not in '"\\':
+            raise _fail(text, index, "bad string escape")
+        return m.group(1)
+
+    return _ESCAPE.sub(unescape, s[1:-1])
+
+
+def _term(p, sig, env):
+    """Parse the term at p.pos with an explicit stack; return it and its first
+    sort error in preorder as (message, code), or None.
+
+    env is None for a ground term; in a rule it holds each variable's sort and
+    is shared by both sides.  Every node is checked when it is built.  A sort
+    error is recorded, not raised, so a later syntax error still wins; a
+    parent's arity, known only at its ')', replaces an error found inside it.
+    Under an unknown constructor or past the declared arity the expected sort
+    is None: whatever is recorded there is replaced or preceded by that
+    ancestor's own error.  Equal constants, nullary constructors and nodes
+    over the same argument objects come back as one object.
+    """
+    toks, i, text = p.toks, p.pos, p.text
+    rdt = sig.rdt_sort
+    arg_sorts = sig.arg_sorts
+    stack = []  # open applications: (ctor, arg sorts or None, args, preorder index)
+    shared = {}  # name, (sort, value) or (ctor, *argument ids) -> the one object built
+    err = None  # (preorder index, message, code)
+    node = 0
+    exp = rdt
+    while True:
+        word = toks[i]
+        i += 1
+        c = word[:1]
+        if c in _IDENT_START:
+            if word in _KEYWORDS:
+                raise _fail(text, i - 1, f"{word!r} is a keyword, not a term")
+            if c.islower() or c == "_":
+                if env is None:
+                    raise _fail(
+                        text, i - 1, f"variable {word!r} not allowed in a ground term",
+                        "variable-in-ground-term",
+                    )
+                prior = env.setdefault(word, exp)
+                if prior != exp and err is None:
+                    err = (node, f"variable {word!r} used at sorts {prior!r} and {exp!r}", "sort")
+                t = Var(word, exp)
+            else:
+                sorts = arg_sorts.get(word)
+                opens = toks[i] == "("
+                if err is None:
+                    if sorts is None:
+                        err = (node, f"unknown constructor {word!r}", "unknown-constructor")
+                    elif exp != rdt:
+                        err = (node, f"{word!r} builds sort {rdt!r}, expected {exp!r}", "sort")
+                    elif sorts and not opens:
+                        err = (node, f"{word!r} expects {len(sorts)} arguments, got 0", "arity")
+                if opens:
+                    stack.append((word, sorts, [], node))
+                    node += 1
+                    i += 1
+                    exp = sorts[0] if sorts else None
+                    continue
+                t = shared.get(word) or shared.setdefault(word, App(word))
+        elif c == '"' and len(word) > 1:
+            key = ("string", _unquote(word, text, i - 1))
+            t = shared.get(key) or shared.setdefault(key, Prim(*key))
+            if exp != "string" and err is None:
+                err = (node, f"{t} is not of sort {exp!r}", "sort")
+        elif c.isdecimal() or (c == "-" and word[1:2].isdecimal()):
+            try:
+                value = int(word)
+            except ValueError:  # past the interpreter's int-string limit
+                message = f"integer literal of {len(word) - (c == '-')} digits is too long"
+                raise _fail(text, i - 1, message) from None
+            key = ("int", value)
+            t = shared.get(key) or shared.setdefault(key, Prim(*key))
+            if exp != "int" and err is None:
+                err = (node, f"{t} is not of sort {exp!r}", "sort")
+        else:
+            raise _fail(text, i - 1, "expected a term")
+        node += 1
+        while stack:  # hand t to its parent, closing every application that ends here
+            ctor, sorts, args, idx = stack[-1]
+            args.append(t)
+            word = toks[i]
+            if word == ",":
+                i += 1
+                exp = sorts[len(args)] if sorts and len(args) < len(sorts) else None
+                break
+            if word != ")":
+                raise _fail(text, i, "expected ')'")
+            i += 1
+            stack.pop()
+            if sorts is not None and len(args) != len(sorts) and (err is None or err[0] > idx):
+                err = (idx, f"{ctor!r} expects {len(sorts)} arguments, got {len(args)}", "arity")
+            key = (ctor, *map(id, args))  # args are held by the node filed under key
+            t = shared.get(key)
+            if t is None:
+                t = shared[key] = App(ctor, tuple(args))
+        else:
+            p.pos = i
+            return t, err and err[1:]
+
+
+class _Tokens:
+    """The parser state the token loop reads: the text, its tokens, a position."""
+
+    def __init__(self, text: str):
+        self.text, self.toks, self.pos = text, _tokenize(text), 0
+
+
+def reference_ground_term(text, sig):
+    """parse_ground_term as it was, over the token loop."""
+    p = _Tokens(text)
+    t, err = _term(p, sig, None)
+    if p.toks[p.pos]:
+        raise _fail(text, p.pos, "trailing input after term")
+    if err:
+        raise _fail(text, 0, *err)
+    return t
+
+
+def reference_definition(text):
+    """parse_definition with its rule sides read by the token loop.  The
+    definition parser's tokens are the token loop's, so the loop walks them."""
+    with mock.patch.object(syntax._Parser, "term", _term):
+        return parse_definition(text)
+
+
+def outcome(parse, *args):
+    """What a parser makes of its input: the result, or the rendered diagnostic."""
+    try:
+        return parse(*args), None
+    except ParseError as e:
+        return None, (e.render(), e.code)
+
+
+def assert_same_dag(a, b):
+    """a and b are the same term with the same sharing: walking both at once,
+    each object of a meets one object of b and each object of b one of a."""
+    to_b, to_a = {}, {}
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if id(x) in to_b or id(y) in to_a:
+            assert to_b.get(id(x)) == id(y) and to_a.get(id(y)) == id(x)
+            continue
+        to_b[id(x)], to_a[id(y)] = id(y), id(x)
+        assert type(x) is type(y)
+        if isinstance(x, App):
+            assert x.ctor == y.ctor and len(x.args) == len(y.args)
+            pending.extend(zip(x.args, y.args))
+        else:
+            assert x == y
+
+
+def assert_parsed_alike(new, ref):
+    (got, got_err), (want, want_err) = new, ref
+    assert got_err == want_err
+    if got_err is None:
+        assert_same_dag(got, want)
+
+
+T = "type t = L | S(t) | N(t) | P(t, t)"
+# gaps between tokens: none most of the time, whitespace of every kind, comments
+GAPS = [
+    "", "", "", "", " ", " ", "\n", "  \n  ", "\t",
+    "\r\n", "\u00a0", " # note\n", "#(,)\n", "# S(L\n",
+]
+STRAYS = ["$", "é", "-", '"', "@", ";", "(", ")", ","]
+
+
+def chain(rng, atoms, depths=(0, 1, 2, 5, 12, 40, 1200)):
+    """The tokens of a unary chain over one atom; 1,200 deep is past the
+    1,000 openings one match of the scanner takes."""
+    k = rng.choice(depths)
+    ctors = [rng.choice(["S", "S", "N"]) for _ in range(k)]
+    return [tok for c in ctors for tok in (c, "(")] + [rng.choice(atoms)] + [")"] * k
+
+
+def tree(rng, n, leaf, node):
+    """The tokens of a binary tree of n leaves, each drawn by leaf()."""
+    if n == 1:
+        return leaf()
+    a = rng.randint(1, n - 1)
+    return [node, "("] + tree(rng, a, leaf, node) + [","] + tree(rng, n - a, leaf, node) + [")"]
+
+
+def ground_tokens(rng, which):
+    """The tokens of a sum over T or CELL of a pool of 1-4 leaves, so leaves
+    repeat.  Now and then a leaf is ill-sorted, unknown, a variable or a
+    keyword."""
+    odd = ["7", "-3", '"s"', "Q", "x", "_y", "rule", "P", "L"]
+    if which == "t":
+        atoms = ["L"] * 12 + odd
+        pool = [chain(rng, atoms) for _ in range(rng.randint(1, 4))]
+        node = "P"
+    else:
+        pool = [
+            ["Nil"],
+            ["Cons", "(", str(rng.randint(-9, 99)), ",", "Nil", ")"],
+            ["Tag", "(", '"a\\"b"', ",", "Cons", "(", "0", ",", "Nil", ")", ")"],
+            ["Cons", "(", "1", ",", "Cons", "(", "2", ",", "Tag", "(", '""', ",", "Nil", ")", ")",
+             ")"],
+        ] + [[rng.choice(odd)]]
+        pool = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        node = "Pair"
+    return tree(rng, rng.randint(1, 12), lambda: rng.choice(pool), node)
+
+
+U = "type u = Z | S(u) | I(int) | W(string) | P(u, u) | K(int, u)"
+
+
+def u_tokens(rng):
+    """The tokens of a sum over U of a pool of chains that end in a constant,
+    an integer or a string.  Now and then K(x, ...) puts a pool leaf where an
+    integer belongs, so an equal chain met again is met at another sort."""
+    bottoms = [["Z"], ["I", "(", "7", ")"], ["I", "(", "-0", ")"], ["W", "(", '"w"', ")"]]
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice([0, 1, 3, 12])
+        pool.append(["S", "("] * k + rng.choice(bottoms) + [")"] * k)
+
+    def build(n):
+        if n == 1:
+            return rng.choice(pool)
+        if rng.random() < 0.3:
+            first = rng.choice([["5"], rng.choice(pool)])
+            return ["K", "("] + first + [","] + build(n - 1) + [")"]
+        a = rng.randint(1, n - 1)
+        return ["P", "("] + build(a) + [","] + build(n - a) + [")"]
+
+    return build(rng.randint(1, 12))
+
+
+def rule_tokens(rng):
+    """The tokens of one rule over T whose leaves come from a pool of chains,
+    up to 40 deep, over variables and constants."""
+    atoms = ["x", "y", "L", "L", "_z"]
+    pool = [chain(rng, atoms, (0, 1, 2, 5, 12, 40)) for _ in range(rng.randint(1, 3))]
+    lhs = tree(rng, rng.randint(1, 4), lambda: rng.choice(pool), "P")
+    rhs = tree(rng, rng.randint(1, 3), lambda: rng.choice(pool), "P")
+    return ["rule"] + lhs + ["->"] + rhs
+
+
+def mutate(rng, toks):
+    """Some of the time, drop, duplicate or swap one token, or insert a stray
+    character."""
+    toks = list(toks)
+    i = rng.randrange(len(toks))
+    kind = rng.choice(["none", "none", "drop", "duplicate", "swap", "stray"])
+    if kind == "drop":
+        del toks[i]
+    elif kind == "duplicate":
+        toks.insert(i, toks[i])
+    elif kind == "swap":
+        j = rng.randrange(len(toks))
+        toks[i], toks[j] = toks[j], toks[i]
+    elif kind == "stray":
+        toks.insert(i, rng.choice(STRAYS))
+    return toks
+
+
+def render(rng, toks):
+    """The tokens joined by random whitespace, newlines and comments; some of
+    the time cut at a random point."""
+    text = rng.choice(GAPS) + "".join(tok + rng.choice(GAPS) for tok in toks)
+    if rng.random() < 0.1:
+        text += "# a comment with no newline"
+    if rng.random() < 0.15:
+        text = text[: rng.randrange(len(text) + 1)]
+    return text
+
+
+@given(st.sampled_from(["t", "cell", "u"]), st.randoms(use_true_random=False))
+def test_ground_terms_parse_as_with_the_token_loop(which, rng):
+    sig = parse_definition({"t": T, "cell": CELL, "u": U}[which])[0]
+    toks = u_tokens(rng) if which == "u" else ground_tokens(rng, which)
+    text = render(rng, mutate(rng, toks))
+    assert_parsed_alike(
+        outcome(parse_ground_term, text, sig), outcome(reference_ground_term, text, sig)
+    )
+
+
+def assert_definitions_alike(new, ref):
+    (got, got_err), (want, want_err) = new, ref
+    assert got_err == want_err
+    if got_err is None:
+        (sig, spec), (ref_sig, ref_spec) = got, want
+        assert sig.constructors == ref_sig.constructors and spec.attrs == ref_spec.attrs
+        assert len(spec.rules) == len(ref_spec.rules)
+        for rule, ref_rule in zip(spec.rules, ref_spec.rules):
+            assert_same_dag(rule.lhs, ref_rule.lhs)
+            assert_same_dag(rule.rhs, ref_rule.rhs)
+
+
+@given(st.randoms(use_true_random=False))
+def test_rule_sides_parse_as_with_the_token_loop(rng):
+    lines = [render(rng, mutate(rng, rule_tokens(rng))) for _ in range(rng.randint(1, 3))]
+    text = "\n".join([T] + lines)
+    assert_definitions_alike(outcome(parse_definition, text), outcome(reference_definition, text))
+
+
+@pytest.mark.parametrize("path", DEFINITIONS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_definition_files_parse_as_with_the_token_loop(path):
+    text = path.read_text()
+    assert_definitions_alike(outcome(parse_definition, text), outcome(reference_definition, text))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        "rule P(S(x), S(x)) -> S(x)",  # a chain over a variable is built each time
+        "rule P(S(L), S(x)) -> P(S(L), x)",
+        "rule P(S(S(L)), y) -> S(S(L))",
+        "rule P(x, L) -> x rule P(L, S(x)) -> S(x)",
+    ],
+)
+def test_edge_rules_parse_as_with_the_token_loop(rule):
+    text = T + "\n" + rule
+    assert_definitions_alike(outcome(parse_definition, text), outcome(reference_definition, text))
+
+
+RULE_FILES = [p for p in DEFINITIONS if "\nrule " in p.read_text()]
+
+
+@given(st.sampled_from(RULE_FILES), st.randoms(use_true_random=False))
+def test_mutated_rule_lines_parse_as_with_the_token_loop(path, rng):
+    lines = path.read_text().split("\n")
+    i = rng.choice([k for k, line in enumerate(lines) if line.startswith("rule")])
+    lines[i] = render(rng, mutate(rng, _tokenize(lines[i])[:-1]))
+    text = "\n".join(lines)
+    assert_definitions_alike(outcome(parse_definition, text), outcome(reference_definition, text))
+
+
+@pytest.mark.parametrize(
+    "which, text",
+    [
+        ("t", "L , L"),  # a comma after a whole term
+        ("t", "S(L) )"),  # a closing after a whole term
+        ("t", "P(S(L), S(L)) # c\n ) L"),
+        ("t", "P(S(L), S(L) )\n , L"),
+        ("t", "S(S(L)) S(S(L))"),
+        ("t", "P(S(L), S(L), S(L))"),
+        ("t", "P(S(Q), S(Q))"),
+        # equal chains met again: the key holds every name and the atom
+        ("t", "P(S(S(L)), S(L))"),
+        ("t", "P(S(L), S(7))"),
+        ("t", "P(S(L), N(L))"),
+        ("t", "P(S( S(L)), S(S (L)))"),
+        ("u", "P(S(I(7)), S(I(7)))"),
+        ("u", "P(S(I(7)), S(I(-0)))"),
+        # and its root's sort is checked again
+        ("u", "P(S(Z), K(S(Z), Z))"),
+        ("u", 'P(W("w"), K(W("w"), Z))'),
+        ("u", "P(S(I(7)), K(S(I(7)), Z))"),
+        ("t", "S(" + "#" * 50 + "\n,"),  # a comment of many comment signs
+        ("t", "S(" * 1_000 + "S (L" + ")" * 1_001),  # past the openings one match takes
+        ("t", "S(" * 1_000 + "S (,"),
+        ("t", "P(" + "S(" * 1_200 + "L" + ")" * 1_200 + ", " + "S(" * 1_200 + "L" + ")" * 1_201),
+        ("t", "P(" * 1_500 + "L" + ", L)" * 1_500),
+        ("t", "P(" * 1_500 + "L" + ", L)" * 1_499 + "L)"),
+        ("t", "S(" * 3_000 + '"' + "a" * 1_000),  # an unterminated string
+        ("t", "S(" * 3_000 + "-" * 1_000),
+    ],
+)
+def test_edge_texts_parse_as_with_the_token_loop(which, text):
+    sig = parse_definition(T if which == "t" else U)[0]
+    assert_parsed_alike(
+        outcome(parse_ground_term, text, sig), outcome(reference_ground_term, text, sig)
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "S(" * 100_000 + "L",  # an unclosed chain
+        "S(" * 100_000 + ",L" + ")" * 100_000,  # a stray comma at the bottom
+        "P(" + "S(" * 100_000 + "L" + ")" * 100_000 + " " + "S(" * 100_000 + "L" + ")" * 100_001,
+    ],
+    ids=["unclosed", "stray-comma", "missing-comma"],
+)
+def test_malformed_deep_input_gets_the_token_loops_diagnostic(text):
+    """Linear time on malformed input: a run regex that backtracked
+    quadratically would take minutes on these."""
+    sig = parse_definition(T)[0]
+    got, want = outcome(parse_ground_term, text, sig), outcome(reference_ground_term, text, sig)
+    assert got == want and got[1] is not None
