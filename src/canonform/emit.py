@@ -44,14 +44,12 @@ def emit_report(fam: CompiledFamily) -> str:
     for decl in sig.constructors:
         name = decl.name
         entry = fam.entries[name]
-        if isinstance(entry, FreeEntry):
-            xs = tuple(_v(f"x{i}", sig) for i in range(1, decl.arity + 1))
-            out.append(_line(name, xs, (), format_term(App(name, xs))))
-        elif isinstance(entry, Type1Entry):
+        if isinstance(entry, Type1Entry):
             for clause in entry.clauses:
                 out.append(
                     _line(name, clause.patterns, clause.guard, _rhs_str(clause.rhs))
                 )
+        if isinstance(entry, (FreeEntry, Type1Entry)):  # the rebuild line, after any clauses
             xs = tuple(_v(f"x{i}", sig) for i in range(1, decl.arity + 1))
             out.append(_line(name, xs, (), format_term(App(name, xs))))
         elif isinstance(entry, InverseEntry):

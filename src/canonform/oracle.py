@@ -336,7 +336,7 @@ class _UnionFind:
         self.parent = parent
 
     def find(self, x):
-        return self.parent.setdefault(x, x)  # parent maps every term to its root
+        return self.parent.get(x, x)  # parent maps every term met to its root
 
 
 def closure_classes(
@@ -538,6 +538,17 @@ def find_redex(
 # family validation
 
 
+# The report's kinds in print order, each as its line label and its field.
+# The unknowns, last, are not failures.
+_KINDS = (
+    ("correctness", "correctness"),
+    ("completeness", "completeness"),
+    ("acnf", "acnf_violations"),
+    ("redex", "redexes"),
+    ("unknown", "unknowns"),
+)
+
+
 @dataclass
 class ValidationReport:
     max_size: int
@@ -552,9 +563,7 @@ class ValidationReport:
 
     @property
     def has_failures(self) -> bool:
-        return bool(
-            self.correctness or self.completeness or self.acnf_violations or self.redexes
-        )
+        return any(getattr(self, name) for _, name in _KINDS[:-1])
 
     @property
     def ok(self) -> bool:
@@ -562,32 +571,19 @@ class ValidationReport:
 
     def machine_lines(self) -> list[str]:
         out = []
-        for t, v in self.correctness:
-            out.append(f"correctness\t{format_term(t)}\t{format_term(v)}")
-        for t, u in self.completeness:
-            out.append(f"completeness\t{format_term(t)}\t{format_term(u)}")
-        for t, v in self.acnf_violations:
-            out.append(f"acnf\t{format_term(t)}\t{format_term(v)}")
-        for t, v, rule in self.redexes:
-            out.append(f"redex\t{format_term(t)}\t{format_term(v)}\t{rule}")
-        for note, t, v in self.unknowns:
-            out.append(f"unknown\t{format_term(t)}\t{format_term(v)}\t{note}")
+        for label, name in _KINDS:
+            for item in getattr(self, name):
+                if label == "unknown":  # (note, t, v): the note prints last
+                    item = (*item[1:], item[0])
+                t, v, *rest = item
+                out.append("\t".join([label, format_term(t), format_term(v), *rest]))
         return out
 
     def summary(self) -> str:
         if self.ok:
             return f"valid at scale {self.max_size}"
-        bits = []
-        for name, xs in (
-            ("correctness", self.correctness),
-            ("completeness", self.completeness),
-            ("acnf", self.acnf_violations),
-            ("redex", self.redexes),
-            ("unknown", self.unknowns),
-        ):
-            if xs:
-                bits.append(f"{len(xs)} {name}")
-        return f"scale {self.max_size}: " + ", ".join(bits)
+        counts = [(len(getattr(self, name)), label) for label, name in _KINDS]
+        return f"scale {self.max_size}: " + ", ".join(f"{n} {label}" for n, label in counts if n)
 
 
 def validate_family(

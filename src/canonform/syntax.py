@@ -31,19 +31,18 @@ does not stop the parser: the first one in preorder is raised, at the
 term's (or rule's) first token, once the term has parsed, so syntax errors
 win.
 
-The rest of a definition is read token by token: one `findall` cuts the
-text into tokens and single unexpected characters, and the tokens' offsets
-are found only when a rule side or a diagnostic needs them.  Every
+The rest of a definition is read token by token: one scan cuts the text
+into tokens and single unexpected characters, with their offsets.  Every
 diagnostic names the offset it is about, and one cold function (_fail)
-turns it into a line and column; an unexpected character anywhere in the
-text is reported first, whatever the parser tripped over.
+turns it into a line and column.  An unexpected character anywhere in the
+text is reported first, whatever the parser tripped over: _fail finds it
+where a regex of whitespace, comments and tokens stops matching.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import cached_property
 from typing import Optional
 
 from .errors import ParseError
@@ -77,7 +76,9 @@ _LEXEME = r"""
 # Any other character is a token of its own, found by the parser as a token
 # that fits nowhere and reported by _fail.
 _TOKEN = re.compile(f"{_SKIP} | ({_LEXEME} | .)", re.VERBOSE)
-_IS_LEXEME = re.compile(f"{_SKIP} | {_LEXEME}", re.VERBOSE).fullmatch
+# The text up to its first unexpected character, 1,000 tokens a match: the
+# engine keeps state for each repeat until the match ends.
+_CLEAN = re.compile(f"(?: {_SKIP} | {_LEXEME} ){{0,1000}}", re.VERBOSE).match
 # The gap between two tokens of a term.  A comment runs to the end of its
 # line, so a gap splits into whitespace and comments one way only: a run
 # that fails after a gap backtracks through it in linear time.  Whitespace
@@ -125,11 +126,11 @@ def _fail(text: str, off: int, message: str, code: str = "syntax") -> ParseError
     """The diagnostic at character offset off of text, unless text holds an
     unexpected character: then the diagnostic for the first one.  The only
     place lines and columns are computed."""
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if _IS_LEXEME(tok) is None:
-            off, message, code = m.start(), f"unexpected character {tok!r}", "syntax"
-            break
+    stray, end = -1, 0
+    while end > stray:
+        stray, end = end, _CLEAN(text, end).end()
+    if stray < len(text):
+        off, message, code = stray, f"unexpected character {text[stray]!r}", "syntax"
     line = text.count("\n", 0, off) + 1
     return ParseError(message, line, off - text.rfind("\n", 0, off), code)
 
@@ -150,18 +151,11 @@ def _unquote(s: str, text: str, off: int) -> str:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        # the tokens, unexpected characters included, then "" for the end
-        self.toks = list(filter(None, _TOKEN.findall(text)))
-        self.toks.append("")
+        # the tokens (unexpected characters too) and offsets, then "" at len(text)
+        found = [m for m in _TOKEN.finditer(text) if m.group(1)]
+        self.toks = [m.group(1) for m in found] + [""]
+        self.offs = [m.start() for m in found] + [len(text)]
         self.pos = 0
-
-    @cached_property
-    def offs(self) -> list[int]:
-        """Each token's offset, then len(text); only diagnostics and rule
-        sides read them."""
-        offs = [m.start() for m in _TOKEN.finditer(self.text) if m.group(1)]
-        offs.append(len(self.text))
-        return offs
 
     @property
     def cur(self) -> str:
@@ -175,14 +169,17 @@ class _Parser:
         """Raise the diagnostic for token index at, the current token by default."""
         raise _fail(self.text, self.offs[self.pos if at is None else at], message, code)
 
-    def at(self, word: str) -> bool:
-        """The current token is this keyword or punctuation (no other kind spells it)."""
-        return self.cur == word
+    def accept(self, word: str) -> bool:
+        """Step past the current token if it is this keyword or punctuation
+        (no other kind spells it)."""
+        if self.cur != word:
+            return False
+        self.pos += 1
+        return True
 
-    def expect(self, word: str) -> str:
-        if not self.at(word):
+    def expect(self, word: str) -> None:
+        if not self.accept(word):
             self.fail(f"expected {word!r}")
-        return self.bump()
 
     def expect_name(self, what: str) -> str:
         if not _is_name(self.cur):
@@ -190,6 +187,13 @@ class _Parser:
         if self.cur in _KEYWORDS:
             self.fail(f"{self.cur!r} is a keyword, not a {what}")
         return self.bump()
+
+    def expect_ctor(self, sig: Signature) -> str:
+        at = self.pos
+        name = self.expect_name("constructor name")
+        if name not in sig:
+            self.fail(f"unknown constructor {name!r}", "unknown-constructor", at)
+        return name
 
     def term(self, sig: Signature, env: dict[str, str]):
         """Parse the rule side at the current token, as _term, and step past it."""
@@ -353,29 +357,29 @@ def parse_ground_term(text: str, sig: Signature) -> Term:
     return t
 
 
-def _parse_attr(p: _Parser) -> Attr:
+# The attributes that name a companion constructor.
+_COMPANIONS = {"neutral": Neu, "inverse": Inv, "nilpotent": Nil}
+
+
+def _parse_attr(p: _Parser, sig: Signature) -> Attr:
     start = p.pos
     word = p.bump()
     if not _is_name(word):
         p.fail("expected an attribute", at=start)
     if word == "associative":
         orientation = "right"
-        if p.at("left") or p.at("right"):
+        if p.cur in ("left", "right"):
             orientation = p.bump()
         return Assoc(orientation)
     if word == "commutative":
         return Com()
     if word == "idempotent":
         return Idem()
-    if word in ("neutral", "inverse", "nilpotent"):
+    if word in _COMPANIONS:
         p.expect("(")
-        name = p.expect_name("constructor name")
+        name = p.expect_ctor(sig)
         p.expect(")")
-        if word == "neutral":
-            return Neu(name)
-        if word == "inverse":
-            return Inv(name)
-        return Nil(name)
+        return _COMPANIONS[word](name)
     p.fail(f"unknown attribute {word!r}", "unknown-attribute", start)
 
 
@@ -401,8 +405,7 @@ def parse_definition(text: str) -> tuple[Signature, TheorySpec]:
             p.fail(f"duplicate constructor {name!r}", "duplicate-constructor", at)
         seen.add(name)
         arg_sorts: list[str] = []
-        if p.at("("):
-            p.bump()
+        if p.accept("("):
             while True:
                 s = p.bump()
                 if not _is_name(s):
@@ -410,38 +413,29 @@ def parse_definition(text: str) -> tuple[Signature, TheorySpec]:
                 if s not in (sort, "int", "string"):
                     p.fail(f"unknown sort {s!r}", "unknown-sort", p.pos - 1)
                 arg_sorts.append(s)
-                if p.at(","):
-                    p.bump()
-                    continue
-                break
+                if not p.accept(","):
+                    break
             p.expect(")")
         ctors.append((name, arg_sorts))
-        if p.at("|"):
-            p.bump()
-            continue
-        break
+        if not p.accept("|"):
+            break
 
     sig = Signature(sort, ctors)
 
     attrs: dict[str, tuple[Attr, ...]] = {}
-    while p.at("with"):
-        p.bump()
+    while p.accept("with"):
         at = p.pos
-        name = p.expect_name("constructor name")
-        if name not in sig:
-            p.fail(f"unknown constructor {name!r}", "unknown-constructor", at)
+        name = p.expect_ctor(sig)
         if name in attrs:
             p.fail(f"duplicate attribute block for {name!r}", "duplicate-attr-block", at)
         p.expect(":")
-        block = [_parse_attr(p)]
-        while p.at(","):
-            p.bump()
-            block.append(_parse_attr(p))
+        block = [_parse_attr(p, sig)]
+        while p.accept(","):
+            block.append(_parse_attr(p, sig))
         attrs[name] = tuple(block)
 
     rules: list[RewriteRule] = []
-    while p.at("rule"):
-        p.bump()
+    while p.accept("rule"):
         start = p.pos
         env: dict[str, str] = {}
         lhs, lhs_err = p.term(sig, env)

@@ -169,27 +169,22 @@ class Signature:
         for name, arg_sorts in constructors:
             decls.append(ConstructorDecl(name, tuple(arg_sorts), rdt_sort))
         self.constructors: tuple[ConstructorDecl, ...] = tuple(decls)
-        self._decl: dict[str, ConstructorDecl] = {}
         self._index: dict[str, int] = {}
         self.arg_sorts: dict[str, tuple[str, ...]] = {}
         for i, d in enumerate(self.constructors):
-            if d.name in self._decl:
+            if d.name in self._index:
                 raise SignatureError(f"duplicate constructor {d.name!r}")
             for s in d.arg_sorts:
                 if s != rdt_sort and s not in self.primitives:
                     raise SignatureError(f"unknown sort {s!r} in constructor {d.name!r}")
-            self._decl[d.name] = d
             self._index[d.name] = i
             self.arg_sorts[d.name] = d.arg_sorts
 
     def __contains__(self, name: str) -> bool:
-        return name in self._decl
+        return name in self._index
 
     def declaration(self, name: str) -> ConstructorDecl:
-        try:
-            return self._decl[name]
-        except KeyError:
-            raise SignatureError(f"unknown constructor {name!r}") from None
+        return self.constructors[self.index(name)]
 
     def check(self, ctor: str, args: Sequence[Term], pattern: bool = False) -> None:
         """Judge the node ctor(args), each argument read at its root alone
@@ -203,7 +198,7 @@ class Signature:
             raise SignatureError(f"{ctor!r} expects {len(sorts)} arguments, got {len(args)}")
         for a, s in zip(args, sorts):
             if type(a) is App:
-                if a.ctor not in self._decl:
+                if a.ctor not in self._index:
                     raise SignatureError(f"unknown constructor {a.ctor!r}")
                 if s == self.rdt_sort:
                     continue

@@ -71,6 +71,14 @@ def test_check_reports_parse_position(capsys, tmp_path):
     assert err.startswith("1:14: error[constructor-case]:")
 
 
+def test_check_reports_an_unknown_companion_at_its_position(capsys, tmp_path):
+    bad = tmp_path / "bad.rdt"
+    bad.write_text("type t = E | P(t, t)\nwith P: associative, commutative, nilpotent(Foo)\n")
+    assert run(capsys, "check", bad) == (
+        1, "", "2:45: error[unknown-constructor]: unknown constructor 'Foo'\n"
+    )
+
+
 # --- norm -------------------------------------------------------------------------
 
 

@@ -739,6 +739,56 @@ def test_validate_type1_with_ample_budget_is_clean():
     assert report.ok
 
 
+def test_report_prints_each_kind_in_its_own_shape():
+    """A report built by hand, with items of every kind: each line is its
+    kind's label and two terms, then a redex's rule or an unknown's note;
+    the lines and the summary take the kinds in one order."""
+    a, b, pab = App("A"), App("B"), App("P", (App("A"), App("B")))
+    report = oracle.ValidationReport(
+        max_size=3,
+        unknowns=[("closure budget exhausted", a, pab)],
+        redexes=[(pab, a, "P(x, B) -> x")],
+        acnf_violations=[(pab, b)],
+        completeness=[(b, pab)],
+        correctness=[(pab, a), (a, b)],
+    )
+    assert report.machine_lines() == [
+        "correctness\tP(A, B)\tA",
+        "correctness\tA\tB",
+        "completeness\tB\tP(A, B)",
+        "acnf\tP(A, B)\tB",
+        "redex\tP(A, B)\tA\tP(x, B) -> x",
+        "unknown\tA\tP(A, B)\tclosure budget exhausted",
+    ]
+    assert report.summary() == (
+        "scale 3: 2 correctness, 1 completeness, 1 acnf, 1 redex, 1 unknown"
+    )
+    assert report.has_failures and not report.ok
+    unknowns = oracle.ValidationReport(max_size=3, unknowns=report.unknowns)
+    assert not unknowns.has_failures and not unknowns.ok
+    assert unknowns.summary() == "scale 3: 1 unknown"
+    for kind in ("correctness", "completeness", "acnf_violations", "redexes"):
+        one = oracle.ValidationReport(max_size=3, **{kind: getattr(report, kind)})
+        assert one.has_failures and not one.ok, kind
+    empty = oracle.ValidationReport(max_size=3)
+    assert empty.ok and not empty.has_failures
+    assert empty.machine_lines() == [] and empty.summary() == "valid at scale 3"
+
+
+def test_union_find_answers_an_unmet_term_without_filing_it():
+    """find answers a term the closure never met with the term itself, and
+    the asking leaves the class map as it was."""
+    sig, spec, _ = load("neu_rules")
+    uf, truncated = closure_classes(equations_of(spec, sig), [App("G")])
+    assert not truncated
+    entries = dict(uf.parent)
+    unmet = App("C", (App("G"), App("G")))
+    assert unmet not in entries
+    assert uf.find(unmet) is unmet
+    assert uf.parent == entries
+    assert uf.find(App("C", (App("G"), App("E")))) == uf.find(App("G"))
+
+
 def _ungrouped_find_redex(sig, t, rules, orientation):
     """find_redex as a plain double loop: every rule at every subterm."""
     tc = acnf._recomb(t, orientation, acnf.spine, sig)

@@ -128,6 +128,26 @@ def test_diagnostic_codes(text, code, fragment):
     assert e.line >= 1 and e.col >= 1
 
 
+@pytest.mark.parametrize(
+    "attrs, rendered",
+    [
+        ("associative, commutative, idempotent, neutral(Foo)",
+         "2:55: error[unknown-constructor]: unknown constructor 'Foo'"),
+        ("associative, commutative, neutral(E), inverse(Foo)",
+         "2:55: error[unknown-constructor]: unknown constructor 'Foo'"),
+        ("associative, commutative, idempotent, nilpotent(Foo)",
+         "2:57: error[unknown-constructor]: unknown constructor 'Foo'"),
+        ("associative, neutral(\n  # the unit\n  Foo)",
+         "4:3: error[unknown-constructor]: unknown constructor 'Foo'"),
+    ],
+)
+def test_an_unknown_companion_is_reported_at_its_name(attrs, rendered):
+    """The constructor a neutral, inverse or nilpotent attribute names is
+    checked against the signature where it is written, as a block's head is."""
+    e = err(f"type t = E | P(t, t)\nwith P: {attrs}")
+    assert e.render() == rendered
+
+
 def test_empty_file_points_at_line_one():
     e = err("")
     assert (e.line, e.col) == (1, 1)
