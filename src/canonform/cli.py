@@ -24,7 +24,7 @@ from .hashcons import HashConsTable
 from .oracle import ClosureBudget, validate_family
 from .syntax import parse_definition, parse_ground_term
 from .terms import Signature, format_term
-from .theory import TheorySpec
+from .theory import COMPANIONS, TheorySpec
 
 
 def _diag(err: CanonError) -> None:
@@ -49,13 +49,8 @@ def _load(path: str) -> Optional[str]:
 def cmd_check(spec: TheorySpec, fam: CompiledFamily) -> int:
     cl = fam.classification
     for th in cl.theories:
-        extras = []
-        if th.unit:
-            extras.append(f"unit={th.unit}")
-        if th.inverse:
-            extras.append(f"inverse={th.inverse}")
-        if th.absorber:
-            extras.append(f"absorber={th.absorber}")
+        named = ((field, getattr(th, field)) for field, _, _ in COMPANIONS.values())
+        extras = [f"{field}={name}" for field, name in named if name]
         extras.append(f"{th.orientation} combs")
         print(f"{th.ctor}: {th.variant.value} ({', '.join(extras)})")
     for c in cl.type1:

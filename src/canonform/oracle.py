@@ -694,7 +694,7 @@ def validate_terms(
 
     truncated = False
     if cl.type1:
-        seeds = list(dict.fromkeys([*terms, *nf.values()]))
+        seeds = [*terms, *nf.values()]  # the closure files equal seeds once
         uf, truncated = closure_classes(equations_of(spec, sig), seeds, budget)
         class_of = uf.find
     else:

@@ -45,18 +45,15 @@ import re
 from bisect import bisect_left
 from typing import Optional
 
-from .errors import ParseError
-from .terms import App, Prim, Signature, Term, Var
+from .errors import ParseError, TheoryError
+from .terms import PRIMITIVES, App, Prim, Signature, Term, Var
 from .theory import (
+    ATTRIBUTES,
     Assoc,
     Attr,
-    Com,
-    Idem,
-    Inv,
-    Neu,
-    Nil,
     RewriteRule,
     TheorySpec,
+    _require_args,
 )
 
 # Whitespace and comments, matched outside the token group: findall returns
@@ -111,14 +108,9 @@ _KEYWORDS = {
     "type",
     "with",
     "rule",
-    "associative",
-    "commutative",
-    "neutral",
-    "inverse",
-    "idempotent",
-    "nilpotent",
     "left",
     "right",
+    *ATTRIBUTES,
 }
 
 
@@ -188,11 +180,17 @@ class _Parser:
             self.fail(f"{self.cur!r} is a keyword, not a {what}")
         return self.bump()
 
-    def expect_ctor(self, sig: Signature) -> str:
+    def expect_ctor(self, sig: Signature, arity: int, role: str = "", of: str = "") -> str:
+        """Step past the name of a declared constructor of arity arguments of
+        the data sort (theory._require_args, whose message it reports)."""
         at = self.pos
         name = self.expect_name("constructor name")
         if name not in sig:
             self.fail(f"unknown constructor {name!r}", "unknown-constructor", at)
+        try:
+            _require_args(sig, name, arity, role, of)
+        except TheoryError as err:
+            self.fail(str(err), "theory", at)
         return name
 
     def term(self, sig: Signature, env: dict[str, str]):
@@ -357,30 +355,23 @@ def parse_ground_term(text: str, sig: Signature) -> Term:
     return t
 
 
-# The attributes that name a companion constructor.
-_COMPANIONS = {"neutral": Neu, "inverse": Inv, "nilpotent": Nil}
-
-
-def _parse_attr(p: _Parser, sig: Signature) -> Attr:
+def _parse_attr(p: _Parser, sig: Signature, head: str) -> Attr:
     start = p.pos
     word = p.bump()
     if not _is_name(word):
         p.fail("expected an attribute", at=start)
-    if word == "associative":
-        orientation = "right"
-        if p.cur in ("left", "right"):
-            orientation = p.bump()
-        return Assoc(orientation)
-    if word == "commutative":
-        return Com()
-    if word == "idempotent":
-        return Idem()
-    if word in _COMPANIONS:
-        p.expect("(")
-        name = p.expect_ctor(sig)
-        p.expect(")")
-        return _COMPANIONS[word](name)
-    p.fail(f"unknown attribute {word!r}", "unknown-attribute", start)
+    if word not in ATTRIBUTES:
+        p.fail(f"unknown attribute {word!r}", "unknown-attribute", start)
+    kind, companion = ATTRIBUTES[word]
+    if kind is Assoc and p.cur in ("left", "right"):
+        return Assoc(p.bump())
+    if companion is None:
+        return kind()
+    _, arity, role = companion
+    p.expect("(")
+    name = p.expect_ctor(sig, arity, role, head)
+    p.expect(")")
+    return kind(name)
 
 
 def parse_definition(text: str) -> tuple[Signature, TheorySpec]:
@@ -410,7 +401,7 @@ def parse_definition(text: str) -> tuple[Signature, TheorySpec]:
                 s = p.bump()
                 if not _is_name(s):
                     p.fail("expected a sort name", at=p.pos - 1)
-                if s not in (sort, "int", "string"):
+                if s != sort and s not in PRIMITIVES:
                     p.fail(f"unknown sort {s!r}", "unknown-sort", p.pos - 1)
                 arg_sorts.append(s)
                 if not p.accept(","):
@@ -425,13 +416,13 @@ def parse_definition(text: str) -> tuple[Signature, TheorySpec]:
     attrs: dict[str, tuple[Attr, ...]] = {}
     while p.accept("with"):
         at = p.pos
-        name = p.expect_ctor(sig)
+        name = p.expect_ctor(sig, 2)
         if name in attrs:
             p.fail(f"duplicate attribute block for {name!r}", "duplicate-attr-block", at)
         p.expect(":")
-        block = [_parse_attr(p, sig)]
+        block = [_parse_attr(p, sig, name)]
         while p.accept(","):
-            block.append(_parse_attr(p, sig))
+            block.append(_parse_attr(p, sig, name))
         attrs[name] = tuple(block)
 
     rules: list[RewriteRule] = []

@@ -6,7 +6,11 @@ that form a complete system on their own (type 1).  Classification checks the
 catalog, resolves the companion symbols (neutral element, inverse, absorber),
 and enforces that distinct theories share no symbol.  A rejection names the
 first offence in a fixed order (attributes in source order, symbols as
-Type2Theory.symbols lists them), so a definition always gets one diagnostic.
+Type2Theory.symbols lists them), so a definition always gets one diagnostic;
+in a file, the parser has already reported a with block's head or companion
+of the wrong shape, at its name.  The attribute language is two tables:
+ATTRIBUTES (each word's class and, for a companion, the field, arity and
+role of the constructor it names) and _REQUIRES (which attribute needs which).
 
 Each catalog law is written once: builtin_presentation builds a variant's
 complete rule set from its laws (a pair law for idempotence and nilpotence,
@@ -67,6 +71,27 @@ class Nil:
 
 Attr = Union[Assoc, Com, Neu, Inv, Idem, Nil]
 
+# The attribute language, one row per word: its class and, for an attribute
+# that names a companion constructor, the field holding that name (on the
+# attribute and on Type2Theory), the constructor's arity and its role in
+# messages.
+ATTRIBUTES: dict[str, tuple[type, Optional[tuple[str, int, str]]]] = {
+    "associative": (Assoc, None),
+    "commutative": (Com, None),
+    "neutral": (Neu, ("unit", 0, "neutral element")),
+    "inverse": (Inv, ("inverse", 1, "inverse")),
+    "idempotent": (Idem, None),
+    "nilpotent": (Nil, ("absorber", 0, "absorber")),
+}
+# The companion attributes by class, in the order check prints them.
+COMPANIONS = {kind: companion for kind, companion in ATTRIBUTES.values() if companion}
+# (attribute, the attribute it needs, the message), checked in this order.
+_REQUIRES = (
+    (Com, Assoc, "commutativity requires associativity in the supported catalog"),
+    (Assoc, Com, "associativity requires commutativity in the supported catalog"),
+    (Inv, Neu, "inverse requires a declared neutral element"),
+)
+
 
 @dataclass(frozen=True)
 class RewriteRule:
@@ -121,8 +146,8 @@ class Type2Theory:
     absorber: Optional[str] = None
 
     def symbols(self) -> tuple[str, ...]:
-        """ctor, unit, inverse and absorber in that order: the declared ones, once each."""
-        named = (self.ctor, self.unit, self.inverse, self.absorber)
+        """ctor, unit, inverse and absorber (table order): the declared ones, once each."""
+        named = (self.ctor, *(getattr(self, slot) for slot, _, _ in COMPANIONS.values()))
         return tuple(dict.fromkeys(s for s in named if s is not None))
 
 
@@ -161,11 +186,12 @@ def validate_rule(sig: Signature, rule: RewriteRule) -> None:
     """Structural checks on one user rule (theory membership is checked later)."""
     if not isinstance(rule.lhs, App):
         raise TheoryError(f"rule left-hand side must be headed by a constructor: {rule}")
+    sorts = []
     for side, name in ((rule.lhs, "left"), (rule.rhs, "right")):
-        s = sort_of(sig, side, pattern=True)
-        if s is None:
+        sorts.append(sort_of(sig, side, pattern=True))
+        if sorts[-1] is None:
             raise TheoryError(f"ill-sorted {name}-hand side in rule: {rule}")
-    if sort_of(sig, rule.lhs, pattern=True) != sort_of(sig, rule.rhs, pattern=True):
+    if sorts[0] != sorts[1]:
         raise TheoryError(f"rule sides have different sorts: {rule}")
     extra = _pattern_vars(rule.rhs) - _pattern_vars(rule.lhs)
     if extra:
@@ -176,8 +202,7 @@ def validate_rule(sig: Signature, rule: RewriteRule) -> None:
 
 def classify(spec: TheorySpec, sig: Signature) -> Classification:
     """Assign every constructor to free / type-1 / type-2 or reject the definition."""
-    declared = {d.name for d in sig.constructors}
-    unknown = sorted(set(spec.attrs) - declared)
+    unknown = sorted(c for c in spec.attrs if c not in sig)
     if unknown:
         raise TheoryError(f"attributes on undeclared constructor {unknown[0]!r}")
     theories: list[Type2Theory] = []
@@ -191,37 +216,23 @@ def classify(spec: TheorySpec, sig: Signature) -> Classification:
             if k in kinds[:i]:
                 raise TheoryError(f"duplicate {k.__name__.lower()} attribute on {ctor!r}")
         kindset = frozenset(kinds)
-        if Com in kindset and Assoc not in kindset:
-            raise TheoryError(
-                f"{ctor!r}: commutativity requires associativity in the supported catalog"
-            )
-        if Assoc in kindset and Com not in kindset:
-            raise TheoryError(
-                f"{ctor!r}: associativity requires commutativity in the supported catalog"
-            )
-        if Inv in kindset and Neu not in kindset:
-            raise TheoryError(f"{ctor!r}: inverse requires a declared neutral element")
+        for kind, needed, message in _REQUIRES:
+            if kind in kindset and needed not in kindset:
+                raise TheoryError(f"{ctor!r}: {message}")
         variant = _CATALOG.get(kindset)
         if variant is None:
             names = "+".join(sorted(k.__name__.lower() for k in kindset))
             raise TheoryError(f"{ctor!r}: unsupported attribute combination {names}")
         orientation = "right"
-        unit = inverse = absorber = None
+        named: dict[str, str] = {}  # Type2Theory field -> companion constructor
         for a in attrs:
             if isinstance(a, Assoc):
                 orientation = a.orientation
-            elif isinstance(a, Neu):
-                _require_args(sig, a.unit, 0, "neutral element", ctor)
-                unit = a.unit
-            elif isinstance(a, Inv):
-                _require_args(sig, a.inverse, 1, "inverse", ctor)
-                inverse = a.inverse
-            elif isinstance(a, Nil):
-                _require_args(sig, a.absorber, 0, "absorber", ctor)
-                absorber = a.absorber
-        theories.append(
-            Type2Theory(variant, ctor, orientation, unit, inverse, absorber)
-        )
+            elif type(a) in COMPANIONS:
+                slot, arity, role = COMPANIONS[type(a)]
+                named[slot] = getattr(a, slot)
+                _require_args(sig, named[slot], arity, role, ctor)
+        theories.append(Type2Theory(variant, ctor, orientation, **named))
 
     owner: dict[str, Type2Theory] = {}
     for th in theories:

@@ -25,7 +25,7 @@ from canonform import (
     leaves,
     sort_combs,
 )
-from canonform.acnf import spine
+from canonform.acnf import comb_sign, spine
 
 from conftest import load, terms
 
@@ -117,6 +117,13 @@ def test_build_comb_inverts_leaves():
         assert leaves("Plus", t) == list(parts)
         u = build_comb("Plus", list(parts), "left")
         assert leaves("Plus", u, "left") == list(parts)
+
+
+def test_a_bad_orientation_or_an_empty_leaf_list_is_a_shape_error():
+    with pytest.raises(ShapeError, match="bad orientation 'up'"):
+        comb_sign("up")
+    with pytest.raises(ShapeError, match="empty leaf list"):
+        build_comb("P", [])
 
 
 def reference_spine(ctor, t):

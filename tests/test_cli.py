@@ -79,6 +79,17 @@ def test_check_reports_an_unknown_companion_at_its_position(capsys, tmp_path):
     )
 
 
+def test_check_reports_a_companion_of_the_wrong_shape_at_its_position(capsys, tmp_path):
+    bad = tmp_path / "bad.rdt"
+    bad.write_text(
+        "type t = E | P(t, t) | S(t)\n"
+        "with P: associative, commutative, idempotent, neutral(P)\n"
+    )
+    assert run(capsys, "check", bad) == (
+        1, "", "2:55: error[theory]: neutral element 'P' of 'P' must be a nullary constructor\n"
+    )
+
+
 # --- norm -------------------------------------------------------------------------
 
 

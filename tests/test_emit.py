@@ -448,6 +448,19 @@ RULE_FAMILIES = [
             ("M", ("A",), ("B",)): ("M", ("A",), ("B",)),
         },
     ),
+    # primitive constants in right-hand sides
+    (
+        'type t = E | K(int) | W(string) | F(t)\nrule F(E) -> K(7)\nrule F(K(x)) -> W("a\\"b")',
+        [App("E")]
+        + [App("K", (Prim("int", i),)) for i in range(6)]
+        + [App("W", (Prim("string", s),)) for s in ("", "a", 'a"b', "\\", "#")],
+        {
+            ("F", ("E",)): ("K", 7),
+            ("F", ("K", 1)): ("W", 'a"b'),
+            ("F", ("F", ("E",))): ("W", 'a"b'),
+            ("F", ("W", "a")): ("F", ("W", "a")),
+        },
+    ),
 ]
 
 
@@ -464,7 +477,7 @@ def two_levels(sig, atoms):
     return out
 
 
-@pytest.mark.parametrize("source, atoms, spot_checks", RULE_FAMILIES, ids=["ac_rules", "nonlinear"])
+@pytest.mark.parametrize("source, atoms, spot_checks", RULE_FAMILIES, ids=["ac_rules", "nonlinear", "constants"])
 def test_generated_module_matches_builder_on_rule_features(source, atoms, spot_checks):
     sig, spec = parse_definition(source)
     fam = compile_family(sig, spec)

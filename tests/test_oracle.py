@@ -949,6 +949,26 @@ def test_leaf_matcher_finds_the_hit_of_the_reference(name):
     assert hits > 0 or not rules
 
 
+@pytest.mark.parametrize(
+    "p, value, n",
+    [
+        (App("P", (Var("x", "t"), Var("y", "t"))), "P(A, P(B, C))", 6),
+        (App("P", (Var("x", "t"), App("P", (Var("x", "t"), Var("y", "t"))))), "P(A, P(A, P(B, B)))", 2),
+    ],
+    ids=["P(x, y)", "P(x, P(x, y))"],
+)
+def test_leaf_matcher_lists_every_binding_of_the_reference(p, value, n):
+    """Resumed after each match, the matcher lists the reference's bindings,
+    in its order."""
+    sig, spec = parse_definition("type t = A | B | C | P(t, t)\nwith P: associative, commutative")
+    fam = compile_family(sig, spec)
+    orientation = fam.orientations()
+    v = normalize(parse_ground_term(value, sig), fam)
+    got = list(oracle._ac_match(sig, orientation, p, v, {}))
+    assert len(got) == n
+    assert got == list(reference_ac_match(sig, orientation, p, v, {}))
+
+
 @pytest.mark.parametrize("name", ["syn_idem", "syn_nil"])
 def test_leaf_matcher_is_polynomial_in_the_distinct_leaves_of_a_comb(monkeypatch, name):
     """A normal comb of 14 distinct leaves S^k(L) has no redex; the

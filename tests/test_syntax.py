@@ -148,6 +148,38 @@ def test_an_unknown_companion_is_reported_at_its_name(attrs, rendered):
     assert e.render() == rendered
 
 
+@pytest.mark.parametrize(
+    "block, rendered",
+    [
+        ("P: associative, commutative, idempotent, neutral(P)",
+         "2:55: error[theory]: neutral element 'P' of 'P' must be a nullary constructor"),
+        ("P: associative, commutative, neutral(E), inverse(P)",
+         "2:55: error[theory]: inverse 'P' of 'P' must be unary over 't'"),
+        ("P: associative, commutative, nilpotent(S)",
+         "2:45: error[theory]: absorber 'S' of 'P' must be a nullary constructor"),
+        ("S: associative, commutative",
+         "2:6: error[theory]: equational attributes apply only to binary "
+         "constructors over 't'; 'S' has arguments ['t']"),
+    ],
+)
+def test_a_constructor_of_the_wrong_shape_is_reported_at_its_name(block, rendered):
+    """A with block's head and the companions it names are checked for
+    their arity where they are written, with classify's message."""
+    e = err(f"type t = E | P(t, t) | S(t)\nwith {block}")
+    assert e.render() == rendered
+
+
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("type with = A", "1:6: error[syntax]: 'with' is a keyword, not a sort name"),
+        ("type t = A(1)", "1:12: error[syntax]: expected a sort name"),
+    ],
+)
+def test_a_bad_sort_name_is_reported_at_its_token(text, rendered):
+    assert err(text).render() == rendered
+
+
 def test_empty_file_points_at_line_one():
     e = err("")
     assert (e.line, e.col) == (1, 1)

@@ -154,6 +154,18 @@ def test_signature_rejects_duplicates_and_unknown_sorts():
         Signature("t", [("A", ["nosuch"])])
 
 
+def test_signature_rejects_an_empty_or_primitive_sort_name():
+    with pytest.raises(SignatureError, match="empty sort name"):
+        Signature("", [])
+    with pytest.raises(SignatureError, match="collides with a primitive type"):
+        Signature("int", [])
+
+
+def test_signature_repr_names_the_sort_and_its_constructors():
+    sig = Signature("t", [("E", []), ("K", ["int"]), ("F", ["t"]), ("P", ["t", "t"])])
+    assert repr(sig) == "Signature('t': E, K, F, P)"
+
+
 def test_signature_lookup(exp_sig):
     assert "Plus" in exp_sig
     assert "Times" not in exp_sig

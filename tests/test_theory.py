@@ -40,6 +40,8 @@ from canonform import (
     equations_of,
 )
 
+from canonform.theory import validate_rule
+
 from conftest import load
 
 
@@ -224,6 +226,29 @@ def test_classify_rejects_rules_on_theory_symbols():
     reject({}, "headed by a constructor", rules=(bad,))
     free_var = RewriteRule(App("Opp", (v("x"),)), v("y"))
     reject({}, None, rules=(free_var,))
+
+
+def test_ill_sorted_rules_are_rejected_with_the_rule():
+    sig = Signature("t", [("E", []), ("K", ["int"]), ("F", ["t"]), ("P", ["t", "t"])])
+    cases = [
+        (
+            RewriteRule(App("F", (App("K", (Var("x", "t"),)),)), App("E")),
+            "ill-sorted left-hand side in rule: F(K(x)) -> E",
+        ),
+        (
+            RewriteRule(App("K", (Var("n", "int"),)), Var("n", "int")),
+            "rule sides have different sorts: K(n) -> n",
+        ),
+    ]
+    for rule, message in cases:
+        with pytest.raises(TheoryError) as err:
+            validate_rule(sig, rule)
+        assert str(err.value) == message
+
+
+def test_an_orientation_other_than_left_or_right_is_rejected():
+    with pytest.raises(TheoryError, match="bad orientation 'up'"):
+        Assoc("up")
 
 
 # --- equations_of ------------------------------------------------------------
